@@ -4,8 +4,9 @@
     python3 servebench/run.py --workload phttp_hot --seed 1 --seconds 8 --trace 0
     python3 servebench/run.py --selftest
 
-The build goes to .bench_build/servebench (CMake + Ninja, Release). Build
-output goes to stderr; the benchmark's last stdout line is its JSON result.
+The build goes to .bench_build/servebench (CMake + Ninja, RelWithDebInfo, as
+the repository's own build). Build output goes to stderr; the benchmark's last
+stdout line is its JSON result.
 Exits non-zero, without a result, when the build fails (for instance when
 the program sources are absent).
 """
@@ -26,7 +27,7 @@ def build():
     if not os.path.exists(os.path.join(BUILD_DIR, "build.ninja")):
         generator = ["-G", "Ninja"] if shutil.which("ninja") else []
         configure = ["cmake", "-S", BENCH_DIR, "-B", BUILD_DIR,
-                     "-DCMAKE_BUILD_TYPE=Release"] + generator
+                     "-DCMAKE_BUILD_TYPE=RelWithDebInfo"] + generator
         if subprocess.call(configure, stdout=sys.stderr, env=env) != 0:
             shutil.rmtree(BUILD_DIR, ignore_errors=True)
             return False

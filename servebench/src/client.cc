@@ -137,8 +137,6 @@ PassResult Client::RunSessions(int64_t sessions_per_thread) {
   return Run(0.0, 0, sessions_per_thread);
 }
 
-PassResult Client::RunShares() { return Run(0.0, 0, kWholeShare); }
-
 std::vector<size_t> Client::NextSessions(int64_t sessions_per_thread) const {
   std::vector<size_t> sessions;
   for (size_t t = 0; t < shares_.size(); ++t) {
@@ -158,10 +156,7 @@ PassResult Client::Run(double seconds, int subwindows, int64_t sessions_per_thre
     threads.emplace_back([this, t, sessions_per_thread, &results]() {
       PassResult* out = &results[t];
       const std::vector<size_t>& share = shares_[t];
-      const int64_t limit = sessions_per_thread == kWholeShare
-                                ? static_cast<int64_t>(share.size())
-                                : sessions_per_thread;
-      for (int64_t n = 0; limit == kUnlimited || n < limit; ++n) {
+      for (int64_t n = 0; sessions_per_thread == kUnlimited || n < sessions_per_thread; ++n) {
         if (share.empty() || stop_.load(std::memory_order_relaxed)) {
           break;
         }

@@ -55,8 +55,6 @@ class Client {
   PassResult RunFor(double seconds, int subwindows);
   // Each thread replays exactly `sessions_per_thread` sessions.
   PassResult RunSessions(int64_t sessions_per_thread);
-  // Each thread replays its whole share once.
-  PassResult RunShares();
   // The sessions the next RunSessions(sessions_per_thread) will replay.
   std::vector<size_t> NextSessions(int64_t sessions_per_thread) const;
 
@@ -65,7 +63,6 @@ class Client {
 
  private:
   static constexpr int64_t kUnlimited = -1;
-  static constexpr int64_t kWholeShare = -2;
 
   PassResult Run(double seconds, int subwindows, int64_t sessions_per_thread);
   // Returns false when the stop flag ended the session early.

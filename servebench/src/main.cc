@@ -14,6 +14,7 @@
 #include <time.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -147,23 +148,14 @@ std::unique_ptr<ClusterRun> SetUp(const WorkloadSpec& spec, uint64_t seed, bool 
   }
   run->client = std::make_unique<Client>(run->workload.get(), run->cluster->port(),
                                          kClientThreads);
-  PassResult warmup;
-  const int passes = std::max(1, spec.warmup_passes);
-  for (int pass = 0; pass < passes; ++pass) {
-    const uint64_t misses_before = run->cluster->Snapshot().local_misses;
-    const PassResult result =
-        spec.warmup_passes > 0
-            ? run->client->RunShares()
-            : run->client->RunSessions(static_cast<int64_t>(
-                  (run->workload->warmup_sessions + kClientThreads - 1) / kClientThreads));
-    std::fprintf(stderr, "warm-up pass %d: %llu requests, %llu misses, %.3f s\n", pass,
-                 static_cast<unsigned long long>(result.attempted),
-                 static_cast<unsigned long long>(run->cluster->Snapshot().local_misses -
-                                                 misses_before),
-                 result.wall_s);
-    warmup.attempted += result.attempted;
-    warmup.failed += result.failed;
-  }
+  const uint64_t misses_before = run->cluster->Snapshot().local_misses;
+  const PassResult warmup = run->client->RunSessions(static_cast<int64_t>(std::ceil(
+      spec.warmup_passes * static_cast<double>(run->workload->sessions.size()) / kClientThreads)));
+  std::fprintf(stderr, "warm-up: %llu requests, %llu misses, %.3f s\n",
+               static_cast<unsigned long long>(warmup.attempted),
+               static_cast<unsigned long long>(run->cluster->Snapshot().local_misses -
+                                               misses_before),
+               warmup.wall_s);
   if (warmup.failed != 0) {
     errors->push_back("warm-up: " + std::to_string(warmup.failed) + " of " +
                       std::to_string(warmup.attempted) + " requests failed");

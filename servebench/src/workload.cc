@@ -28,7 +28,8 @@ std::vector<WorkloadSpec> AllWorkloads() {
   phttp_cold.num_pages = 600;
   phttp_cold.num_sessions = 8000;
   phttp_cold.low_disk_queue_threshold = 1;
-  phttp_cold.warmup_cache_multiple = 2.0;
+  // 200 sessions: about 3000 requests, over twice the aggregate cache in bytes.
+  phttp_cold.warmup_passes = 0.025;
   phttp_cold.layer_sessions_per_thread = 120;
 
   return {phttp_hot, http10_hot, phttp_cold};
@@ -101,22 +102,6 @@ Workload BuildWorkload(const WorkloadSpec& spec, uint64_t seed) {
       requests.requests += batch.targets.size();
     }
     workload.sessions.push_back(std::move(requests));
-  }
-
-  if (spec.warmup_cache_multiple > 0.0) {
-    const double goal = spec.warmup_cache_multiple * static_cast<double>(spec.cache_bytes) *
-                        static_cast<double>(kNumNodes);
-    double bytes = 0.0;
-    size_t count = 0;
-    while (count < workload.sessions.size() && bytes < goal) {
-      for (const auto& targets : workload.sessions[count].batch_targets) {
-        for (const lard::TargetId target : targets) {
-          bytes += static_cast<double>(catalog.Get(target).size_bytes);
-        }
-      }
-      ++count;
-    }
-    workload.warmup_sessions = count;
   }
   return workload;
 }

@@ -33,11 +33,9 @@ struct WorkloadSpec {
   int low_disk_queue_threshold = 4;
   int64_t num_pages = 0;
   int64_t num_sessions = 0;
-  // Warm-up: whole passes over every session (hot workloads), or a prefix of
-  // the session list whose requested bytes reach this multiple of the
-  // aggregate cache (cold workload; 0 = use passes).
-  int warmup_passes = 0;
-  double warmup_cache_multiple = 0.0;
+  // Warm-up: passes over the session list, dealt to the client threads as a
+  // timed pass deals them. A fraction replays a prefix of each thread's share.
+  double warmup_passes = 0.0;
   // Per-layer passes (trace runs): sessions per client thread.
   int64_t layer_sessions_per_thread = 0;
 };
@@ -59,8 +57,6 @@ struct Workload {
   uint64_t seed = 0;
   lard::Trace trace;  // already flattened for HTTP/1.0 workloads
   std::vector<SessionRequests> sessions;
-  // Sessions to replay for warm-up when warmup_cache_multiple > 0.
-  size_t warmup_sessions = 0;
 };
 
 // Generates the trace and request bytes for `spec` and `seed`.

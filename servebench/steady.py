@@ -8,7 +8,7 @@ share of failed operations. Run from the root of a checkout:
 
     python3 servebench/steady.py --runs 10 [--workloads phttp_cold ...]
 
-Exits 1 when a spread other than setup_s exceeds its bound, or a run fails.
+Exits 1 when a spread exceeds its bound, or a run fails.
 """
 import argparse
 import json
@@ -36,7 +36,6 @@ def main():
         bench = json.load(f)
     parser = argparse.ArgumentParser()
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--workloads", nargs="*",
                         default=[w["name"] for w in bench["workloads"]])
     args = parser.parse_args()
@@ -44,7 +43,7 @@ def main():
     ok = True
     for workload in args.workloads:
         results = []
-        for seed in range(args.first_seed, args.first_seed + args.runs):
+        for seed in range(1, args.runs + 1):
             result = run_once(bench["command"], workload, seed, bench["run_seconds"])
             if result is None or not result["correct"]:
                 print(f"{workload} seed {seed}: run failed or incorrect", flush=True)
@@ -65,9 +64,7 @@ def main():
             spread = (q3 - q1) / median if median else float("inf")
             verdict = "ok" if spread <= metric["bound"] / 3 else (
                 "ok (within bound)" if spread <= metric["bound"] else "OVER")
-            if name == "setup_s":
-                verdict += " (not gated)"
-            elif spread > metric["bound"]:
+            if spread > metric["bound"]:
                 ok = False
             print(f"  {name:<16} {median:>12.4f} {q1:>12.4f} {q3:>12.4f} "
                   f"{spread:>8.3f} {metric['bound']:>6} {verdict}")
