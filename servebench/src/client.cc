@@ -4,12 +4,16 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <pthread.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
+#include <cstring>
+#include <string>
 #include <thread>
 
 namespace servebench {
@@ -113,6 +117,28 @@ void Merge(const PassResult& from, PassResult* into) {
   into->batches.insert(into->batches.end(), from.batches.begin(), from.batches.end());
 }
 
+// Reads the idle (idle + iowait) and steal ticks of `cpu` from /proc/stat;
+// leaves them 0 when the line is missing.
+void ReadCpuStat(int cpu, int64_t* idle_ticks, int64_t* steal_ticks) {
+  FILE* file = std::fopen("/proc/stat", "r");
+  if (file == nullptr) {
+    return;
+  }
+  const std::string prefix = "cpu" + std::to_string(cpu) + " ";
+  char line[512];
+  while (std::fgets(line, sizeof(line), file) != nullptr) {
+    long long v[8] = {};  // user nice system idle iowait irq softirq steal
+    if (std::strncmp(line, prefix.c_str(), prefix.size()) == 0 &&
+        std::sscanf(line + prefix.size(), "%lld %lld %lld %lld %lld %lld %lld %lld", &v[0],
+                    &v[1], &v[2], &v[3], &v[4], &v[5], &v[6], &v[7]) == 8) {
+      *idle_ticks = v[3] + v[4];
+      *steal_ticks = v[7];
+      break;
+    }
+  }
+  std::fclose(file);
+}
+
 }  // namespace
 
 int64_t NowNs() {
@@ -186,6 +212,7 @@ PassResult Client::Run(double seconds, int subwindows, int64_t sessions_per_thre
         sample.client_cpu_ns += static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
       }
       sample.t_ns = NowNs();
+      ReadCpuStat(sched_getcpu(), &sample.cpu_idle_ticks, &sample.cpu_steal_ticks);
       merged.ticks.push_back(sample);
     };
     tick();

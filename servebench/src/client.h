@@ -29,6 +29,10 @@ struct CpuTick {
   int64_t t_ns = 0;
   int64_t process_cpu_ns = 0;
   int64_t client_cpu_ns = 0;  // sum over the client threads
+  // Idle and steal time of the CPU the process runs on (/proc/stat), in
+  // clock ticks: steal is time the host gave that CPU to someone else.
+  int64_t cpu_idle_ticks = 0;
+  int64_t cpu_steal_ticks = 0;
 };
 
 struct PassResult {

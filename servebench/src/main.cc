@@ -12,6 +12,7 @@
 #include <sched.h>
 #include <sys/resource.h>
 #include <time.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -32,8 +33,10 @@ namespace servebench {
 namespace {
 
 constexpr int kClientThreads = 4;
+// An end-to-end run sets the cluster up kSetups times and measures a part of
+// the window on each, split into kSubwindows sub-windows.
 constexpr int kSetups = 3;
-constexpr int kSubwindows = 10;
+constexpr int kSubwindows = 16;
 constexpr int64_t kQuiesceTimeoutMs = 5000;
 
 struct Args {
@@ -79,6 +82,16 @@ int PinToOneCpu() {
     }
   }
   return -1;
+}
+
+// Puts the calling thread, and so every thread it starts later, under
+// SCHED_BATCH: a thread that wakes does not preempt the running one, so on
+// the one CPU each thread runs until it blocks or its slice ends. Under the
+// default policy, wakeup preemption interleaves the threads differently from
+// run to run, and throughput and latency spread about twice as wide.
+bool UseBatchScheduling() {
+  const sched_param param{};
+  return sched_setscheduler(0, SCHED_BATCH, &param) == 0;
 }
 
 int CountOpenFds() {
@@ -226,11 +239,11 @@ void TearDown(ClusterRun* run, int fds_before, std::vector<std::string>* errors)
   }
 }
 
-// End-to-end figures of a timed pass. Throughput and CPU per request are
-// computed per sub-window and the median over the sub-windows is reported,
-// so a short disturbance of the machine moves one sub-window rather than the
-// result. The latency percentiles take every batch of the window, so that
-// even the phttp_cold p99 has dozens of samples beyond it.
+// End-to-end figures of the timed parts of a run. Throughput and CPU per
+// request are computed per sub-window, and the median over the sub-windows of
+// all parts is reported, so a disturbed second moves a few sub-windows rather
+// than the result. The latency percentiles take every batch of every part, so
+// that even the phttp_cold p99 has hundreds of requests beyond it.
 struct WindowMetrics {
   double throughput_rps = 0.0;
   double latency_p50_us = 0.0;
@@ -238,33 +251,44 @@ struct WindowMetrics {
   double cpu_us_per_req = 0.0;  // CPU of every thread but the client's
 };
 
-WindowMetrics MeasureWindow(const PassResult& result) {
+WindowMetrics MeasureWindow(const std::vector<PassResult>& parts) {
   std::vector<double> rps, cpu;
-  for (size_t k = 1; k < result.ticks.size(); ++k) {
-    const CpuTick& begin = result.ticks[k - 1];
-    const CpuTick& end = result.ticks[k];
-    uint64_t passed = 0;
-    for (const BatchSample& batch : result.batches) {
-      if (batch.done_ns > begin.t_ns && batch.done_ns <= end.t_ns) {
-        passed += batch.passed;
-      }
-    }
-    const double server_cpu_us =
-        static_cast<double>((end.process_cpu_ns - begin.process_cpu_ns) -
-                            (end.client_cpu_ns - begin.client_cpu_ns)) / 1e3;
-    rps.push_back(static_cast<double>(passed) * 1e9 / static_cast<double>(end.t_ns - begin.t_ns));
-    cpu.push_back(server_cpu_us / std::max<double>(1.0, static_cast<double>(passed)));
-  }
-  std::fprintf(stderr, "sub-window req/s:");
-  for (const double value : rps) {
-    std::fprintf(stderr, " %.0f", value);
-  }
-  std::fprintf(stderr, "\n");
   std::vector<std::pair<int64_t, uint32_t>> latencies;
   uint64_t requests = 0;
-  for (const BatchSample& batch : result.batches) {
-    latencies.emplace_back(batch.latency_ns, batch.requests);
-    requests += batch.requests;
+  for (const PassResult& part : parts) {
+    std::fprintf(stderr, "sub-window req/s:");
+    for (size_t k = 1; k < part.ticks.size(); ++k) {
+      const CpuTick& begin = part.ticks[k - 1];
+      const CpuTick& end = part.ticks[k];
+      uint64_t passed = 0;
+      for (const BatchSample& batch : part.batches) {
+        if (batch.done_ns > begin.t_ns && batch.done_ns <= end.t_ns) {
+          passed += batch.passed;
+        }
+      }
+      const double server_cpu_us =
+          static_cast<double>((end.process_cpu_ns - begin.process_cpu_ns) -
+                              (end.client_cpu_ns - begin.client_cpu_ns)) / 1e3;
+      rps.push_back(static_cast<double>(passed) * 1e9 /
+                    static_cast<double>(end.t_ns - begin.t_ns));
+      cpu.push_back(server_cpu_us / std::max<double>(1.0, static_cast<double>(passed)));
+      std::fprintf(stderr, " %.0f", rps.back());
+    }
+    std::fprintf(stderr, "\n");
+    if (part.ticks.size() >= 2) {
+      const CpuTick& first = part.ticks.front();
+      const CpuTick& last = part.ticks.back();
+      const double ticks = static_cast<double>(last.t_ns - first.t_ns) / 1e9 *
+                           static_cast<double>(sysconf(_SC_CLK_TCK));
+      std::fprintf(stderr, "  CPU idle %.1f%%, stolen by the host %.1f%%\n",
+                   100.0 * static_cast<double>(last.cpu_idle_ticks - first.cpu_idle_ticks) / ticks,
+                   100.0 * static_cast<double>(last.cpu_steal_ticks - first.cpu_steal_ticks) /
+                       ticks);
+    }
+    for (const BatchSample& batch : part.batches) {
+      latencies.emplace_back(batch.latency_ns, batch.requests);
+      requests += batch.requests;
+    }
   }
   std::fprintf(stderr, "latency samples: %zu batches, %llu requests; us at p10 %.0f, p25 %.0f, "
                "p50 %.0f, p60 %.0f, p75 %.0f, p90 %.0f\n", latencies.size(),
@@ -363,42 +387,48 @@ bool ReportErrors(const std::vector<std::string>& errors) {
   return errors.empty();
 }
 
+// Each set-up is followed by a third of the window on its cluster, so the
+// window is spread over the whole run rather than taken in one stretch.
 int RunEndToEnd(const WorkloadSpec& spec, const Args& args) {
   std::vector<std::string> errors;
   const int fds_before = CountOpenFds();
   std::vector<double> setup_s;
-  std::unique_ptr<ClusterRun> run;
+  std::vector<PassResult> parts;
+  std::unique_ptr<Workload> workload;
   for (int i = 0; i < kSetups; ++i) {
-    if (run != nullptr) {
-      CheckInvariants(run.get(), &errors);
-      TearDown(run.get(), fds_before, &errors);
-    }
-    run = SetUp(spec, args.seed, /*tracing=*/false, 0, &errors);
+    std::unique_ptr<ClusterRun> run = SetUp(spec, args.seed, /*tracing=*/false, 0, &errors);
     if (run == nullptr) {
       ReportErrors(errors);
       return 1;
     }
     setup_s.push_back(run->setup_s);
+    const lard::ClusterSnapshot snap_before = run->cluster->Snapshot();
+    parts.push_back(run->client->RunFor(args.seconds / kSetups, kSubwindows));
+    const lard::ClusterSnapshot snap_after = run->cluster->Snapshot();
+    ReportPass("window part", parts.back());
+    std::fprintf(stderr, "window part: %llu hits, %llu misses, %llu lateral, %llu handoffs\n",
+                 static_cast<unsigned long long>(snap_after.local_hits - snap_before.local_hits),
+                 static_cast<unsigned long long>(snap_after.local_misses -
+                                                 snap_before.local_misses),
+                 static_cast<unsigned long long>(snap_after.lateral_out - snap_before.lateral_out),
+                 static_cast<unsigned long long>(snap_after.handoffs - snap_before.handoffs));
+    CheckInvariants(run.get(), &errors);
+    TearDown(run.get(), fds_before, &errors);
+    workload = std::move(run->workload);
   }
-
-  const lard::ClusterSnapshot snap_before = run->cluster->Snapshot();
-  const PassResult result = run->client->RunFor(args.seconds, kSubwindows);
-  const lard::ClusterSnapshot snap_after = run->cluster->Snapshot();
-  ReportPass("window", result);
-  std::fprintf(stderr, "window: %llu hits, %llu misses, %llu lateral, %llu handoffs\n",
-               static_cast<unsigned long long>(snap_after.local_hits - snap_before.local_hits),
-               static_cast<unsigned long long>(snap_after.local_misses - snap_before.local_misses),
-               static_cast<unsigned long long>(snap_after.lateral_out - snap_before.lateral_out),
-               static_cast<unsigned long long>(snap_after.handoffs - snap_before.handoffs));
-  CheckInvariants(run.get(), &errors);
-  TearDown(run.get(), fds_before, &errors);
 
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
-  const WindowMetrics window = MeasureWindow(result);
-  DescribeWorkload(*run->workload);
-  const bool correct = ReportErrors(errors) && result.failed == 0;
-  PrintResult(correct, result.attempted, result.failed,
+  const WindowMetrics window = MeasureWindow(parts);
+  DescribeWorkload(*workload);
+  uint64_t attempted = 0;
+  uint64_t failed = 0;
+  for (const PassResult& part : parts) {
+    attempted += part.attempted;
+    failed += part.failed;
+  }
+  const bool correct = ReportErrors(errors) && failed == 0;
+  PrintResult(correct, attempted, failed,
               {{"throughput_rps", window.throughput_rps, "1/s"},
                {"latency_p50_us", window.latency_p50_us, "us"},
                {"latency_p99_us", window.latency_p99_us, "us"},
@@ -553,6 +583,10 @@ int Main(int argc, char** argv) {
   const int cpu = PinToOneCpu();
   if (cpu < 0) {
     std::fprintf(stderr, "could not confine the process to one CPU: %s\n", std::strerror(errno));
+    return 1;
+  }
+  if (!UseBatchScheduling()) {
+    std::fprintf(stderr, "could not switch to SCHED_BATCH: %s\n", std::strerror(errno));
     return 1;
   }
   std::fprintf(stderr, "servebench %s seed %llu on CPU %d\n", spec.name.c_str(),
