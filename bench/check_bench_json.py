@@ -308,17 +308,22 @@ def check_connection_scale(record, data):
         lateness = require(record, reap, "reap_lateness_ms", NUM)
         if lateness is not None and lateness > 2000:
             fail(record, f"idle reap ran {lateness:.0f} ms past the deadline (> 2000)")
-    wheel = require(record, data, "timer_wheel", dict)
-    if wheel is not None:
-        if wheel.get("fired") != wheel.get("entries"):
-            fail(record, f"wheel fired {wheel.get('fired')} of {wheel.get('entries')} timers")
-        # O(1) per-op bounds at bench scale (~tens of ns measured; the gates
-        # absorb CI-runner noise, a heap would blow through them as N grows).
-        for key, bound in (("arm_ns", 5000), ("rearm_ns", 2000), ("cancel_ns", 2000),
-                           ("advance_ns_per_tick", 1000000)):
-            value = require(record, wheel, key, NUM)
+    idle = require(record, data, "idle_list", dict)
+    if idle is not None:
+        # O(1) per-op bounds at bench scale (tens of ns measured; the gates
+        # absorb CI-runner noise). Touch runs on every byte of client traffic.
+        for key, bound in (("touch_ns", 2000), ("link_ns", 2000), ("unlink_ns", 2000)):
+            value = require(record, idle, key, NUM)
             if value is not None and value > bound:
-                fail(record, f"timer_wheel.{key} = {value:.0f} ns exceeds {bound}")
+                fail(record, f"idle_list.{key} = {value:.0f} ns exceeds {bound}")
+    heap = require(record, data, "timer_heap", dict)
+    if heap is not None:
+        if heap.get("fired") != heap.get("armed"):
+            fail(record, f"timer heap fired {heap.get('fired')} of {heap.get('armed')} timers")
+        for key, bound in (("arm_ns", 5000), ("fire_ns", 5000)):
+            value = require(record, heap, key, NUM)
+            if value is not None and value > bound:
+                fail(record, f"timer_heap.{key} = {value:.0f} ns exceeds {bound}")
     open_loop = require(record, data, "open_loop", dict)
     if open_loop is not None:
         if open_loop.get("responses_ok") != open_loop.get("requests"):

@@ -15,18 +15,18 @@
 //      POST /idletimeout, a batch of idle connections must be reaped at
 //      deadline + epsilon. Reports the reap lateness (how far past the
 //      deadline the last connection closed).
-//   3. Timer-wheel microcost: arm/rearm/cancel/advance per-op cost of the
-//      hashed wheel at bench scale, against a binary-heap baseline with
-//      lazy-cancel tombstones (what EventLoop used for every timer before
-//      the wheel).
+//   3. Idle-list and timer microcost at bench scale: link / touch / unlink
+//      per-op cost of the intrusive idle list that holds every connection's
+//      keep-alive deadline, and arm / fire per-op cost of the EventLoop's
+//      µs timer heap on a running loop.
 //   4. Open-loop tail: Poisson arrivals at a fixed offered rate (the
 //      coordinated-omission-safe mode of the load generator); reports p95
 //      batch latency and schedule start-lag at that rate.
 //
 // Output: tables plus (--json) a machine-readable record;
 // bench/check_bench_json.py enforces the invariants (sustained >= target,
-// zero leaked connections, bytes/conn ceiling, wheel per-op bounds, clean
-// open-loop run). Exit code is non-zero when a phase fails.
+// zero leaked connections, bytes/conn ceiling, idle-list and timer-heap
+// per-op bounds, clean open-loop run). Exit code is non-zero when a phase fails.
 //
 // File descriptors: N connections cost 2N+slack fds in this one process
 // (client + server end). The bench raises RLIMIT_NOFILE to the hard limit
@@ -45,14 +45,15 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <queue>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/net/event_loop.h"
+#include "src/net/idle_list.h"
 #include "src/net/socket.h"
-#include "src/net/timer_wheel.h"
 #include "src/proto/cluster.h"
 #include "src/proto/load_generator.h"
 #include "src/trace/synthetic.h"
@@ -221,15 +222,18 @@ struct SweepPoint {
   int64_t leaked_conns = 0;
 };
 
-struct WheelCosts {
+struct IdleListCosts {
   size_t entries = 0;
+  double link_ns = 0.0;
+  double touch_ns = 0.0;
+  double unlink_ns = 0.0;
+};
+
+struct TimerHeapCosts {
+  size_t armed = 0;
   uint64_t fired = 0;
   double arm_ns = 0.0;
-  double rearm_ns = 0.0;
-  double cancel_ns = 0.0;
-  double advance_ns_per_tick = 0.0;
-  double heap_push_ns = 0.0;
-  double heap_rearm_ns = 0.0;
+  double fire_ns = 0.0;
 };
 
 double NsPerOp(const std::chrono::steady_clock::time_point& start, size_t ops) {
@@ -240,77 +244,74 @@ double NsPerOp(const std::chrono::steady_clock::time_point& start, size_t ops) {
                         static_cast<double>(ops);
 }
 
-// Per-op costs of the hashed wheel at `entries` live timers, plus the
-// pre-wheel baseline: a binary heap where cancel/rearm leaves a tombstone
-// that is paid for at pop time (EventLoop's old strategy for every timer).
-WheelCosts MeasureWheel(size_t entries) {
-  WheelCosts costs;
+// Per-op costs of the idle list at `entries` linked connections. Touch, the
+// hot path at scale (every byte of client activity), moves entries in a
+// scattered order so the splices miss the cache as live traffic would.
+IdleListCosts MeasureIdleList(size_t entries) {
+  struct Entry : IdleHook {};
+  IdleListCosts costs;
   costs.entries = entries;
-  TimerWheel wheel;
-  const int64_t base_ms = 1;
-  const int64_t horizon = wheel.horizon_ms();
+  std::vector<Entry> conns(entries);
+  IdleList<Entry> list;
+  int64_t now = 0;
 
   auto start = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < entries; ++i) {
-    wheel.Arm(static_cast<uint64_t>(i + 1),
-              base_ms + static_cast<int64_t>(i) % (horizon / 2), []() {});
+  for (Entry& conn : conns) {
+    list.Touch(&conn, ++now);
   }
-  costs.arm_ns = NsPerOp(start, entries);
+  costs.link_ns = NsPerOp(start, entries);
 
-  // The hot path at scale: every byte of client activity rearms that
-  // connection's deadline.
   start = std::chrono::steady_clock::now();
+  size_t next = 0;
   for (size_t i = 0; i < entries; ++i) {
-    wheel.Rearm(static_cast<uint64_t>(i + 1),
-                base_ms + horizon / 2 + static_cast<int64_t>(i) % (horizon / 4));
+    list.Touch(&conns[next], ++now);
+    next = (next + 7919) % entries;
   }
-  costs.rearm_ns = NsPerOp(start, entries);
+  costs.touch_ns = NsPerOp(start, entries);
 
-  uint64_t ticks = 0;
   start = std::chrono::steady_clock::now();
-  for (int64_t now = base_ms; wheel.size() > 0; now += wheel.tick_ms()) {
-    wheel.Advance(now, [](const std::function<void()>& fn) { fn(); });
-    ++ticks;
+  for (size_t i = 0; i < entries; ++i) {
+    list.Unlink(&conns[next]);
+    next = (next + 7919) % entries;
   }
-  const auto advance_elapsed = std::chrono::steady_clock::now() - start;
-  costs.advance_ns_per_tick =
-      ticks == 0 ? 0.0
-                 : static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                           advance_elapsed)
-                                           .count()) /
-                       static_cast<double>(ticks);
-  costs.fired = wheel.total_fired();
+  costs.unlink_ns = NsPerOp(start, entries);
+  return costs;
+}
 
-  for (size_t i = 0; i < entries; ++i) {
-    wheel.Arm(static_cast<uint64_t>(i + 1),
-              base_ms + static_cast<int64_t>(i) % (horizon / 2), []() {});
+// Arm and fire cost of the EventLoop's timer heap on a running loop: one
+// task arms `count` timers spread over the next millisecond, then the loop
+// fires them all. Fire cost is the wall time from the end of arming to the
+// last callback, per timer.
+TimerHeapCosts MeasureTimerHeap(size_t count) {
+  TimerHeapCosts costs;
+  costs.armed = count;
+  EventLoop loop;
+  std::thread runner([&loop]() { loop.Run(); });
+  std::promise<void> all_fired;
+  std::chrono::steady_clock::time_point armed_at;
+  std::chrono::steady_clock::time_point last_fired_at;
+  loop.Post([&]() {
+    const auto start = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < count; ++i) {
+      loop.ScheduleAfterUs(static_cast<int64_t>(i % 1000), [&]() {
+        if (++costs.fired == costs.armed) {
+          last_fired_at = std::chrono::steady_clock::now();
+          all_fired.set_value();
+        }
+      });
+    }
+    costs.arm_ns = NsPerOp(start, count);
+    armed_at = std::chrono::steady_clock::now();
+  });
+  if (count > 0) {
+    all_fired.get_future().wait();
+    costs.fire_ns = static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                            last_fired_at - armed_at)
+                                            .count()) /
+                    static_cast<double>(count);
   }
-  start = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < entries; ++i) {
-    wheel.Cancel(static_cast<uint64_t>(i + 1));
-  }
-  costs.cancel_ns = NsPerOp(start, entries);
-
-  // Heap baseline. Rearm = push the new deadline and leave the old entry as
-  // a tombstone; the drain pops 2x entries and discards half. The measured
-  // rearm cost charges both halves to the rearm, as EventLoop did.
-  using HeapEntry = std::pair<int64_t, uint64_t>;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<HeapEntry>> heap;
-  start = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < entries; ++i) {
-    heap.emplace(base_ms + static_cast<int64_t>(i) % (horizon / 2),
-                 static_cast<uint64_t>(i + 1));
-  }
-  costs.heap_push_ns = NsPerOp(start, entries);
-  start = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < entries; ++i) {
-    heap.emplace(base_ms + horizon / 2 + static_cast<int64_t>(i) % (horizon / 4),
-                 static_cast<uint64_t>(i + 1));
-  }
-  while (!heap.empty()) {
-    heap.pop();
-  }
-  costs.heap_rearm_ns = NsPerOp(start, entries);
+  loop.Stop();
+  runner.join();
   return costs;
 }
 
@@ -327,8 +328,7 @@ int Main(int argc, char** argv) {
   std::string csv;
   flags.AddInt("conns", &conns, "largest sweep point (concurrent idle connections)");
   flags.AddInt("reap-conns", &reap_conns, "connections for the idle-reap phase");
-  flags.AddInt("reap-timeout-ms", &reap_timeout_ms,
-               "keep-alive deadline for the idle-reap phase (wheel-resident: < ~4s)");
+  flags.AddInt("reap-timeout-ms", &reap_timeout_ms, "keep-alive deadline for the idle-reap phase");
   flags.AddInt("open-loop-sessions", &open_loop_sessions, "sessions for the open-loop phase");
   flags.AddDouble("open-loop-rps", &open_loop_rps, "offered session rate for the open-loop phase");
   flags.AddInt("threads", &threads, "client connect workers");
@@ -487,15 +487,16 @@ int Main(int argc, char** argv) {
                 reap_n, reap_lateness_ms, static_cast<long long>(reap_timeout_ms));
   }
 
-  // --- Phase 3: timer-wheel microcost. ---
-  const WheelCosts wheel = MeasureWheel(static_cast<size_t>(conns));
-  std::printf("\ntimer wheel @ %zu entries: arm %.0f ns, rearm %.0f ns, cancel %.0f ns, "
-              "advance %.0f ns/tick (heap baseline: push %.0f ns, rearm+drain %.0f ns)\n",
-              wheel.entries, wheel.arm_ns, wheel.rearm_ns, wheel.cancel_ns,
-              wheel.advance_ns_per_tick, wheel.heap_push_ns, wheel.heap_rearm_ns);
-  if (wheel.fired != wheel.entries) {
-    std::fprintf(stderr, "FAIL: wheel fired %llu of %zu armed timers\n",
-                 static_cast<unsigned long long>(wheel.fired), wheel.entries);
+  // --- Phase 3: idle-list and timer-heap microcost. ---
+  const IdleListCosts idle = MeasureIdleList(static_cast<size_t>(conns));
+  const TimerHeapCosts heap = MeasureTimerHeap(static_cast<size_t>(conns));
+  std::printf("\nidle list @ %zu entries: link %.0f ns, touch %.0f ns, unlink %.0f ns\n"
+              "timer heap @ %zu timers: arm %.0f ns, fire %.0f ns\n",
+              idle.entries, idle.link_ns, idle.touch_ns, idle.unlink_ns, heap.armed, heap.arm_ns,
+              heap.fire_ns);
+  if (heap.fired != heap.armed) {
+    std::fprintf(stderr, "FAIL: timer heap fired %llu of %zu armed timers\n",
+                 static_cast<unsigned long long>(heap.fired), heap.armed);
     ++failures;
   }
 
@@ -545,12 +546,10 @@ int Main(int argc, char** argv) {
     out << "],\"idle_reap\":{\"conns\":" << reap_n << ",\"idle_closes\":" << reap_closes
         << ",\"reap_lateness_ms\":" << reap_lateness_ms
         << ",\"ok\":" << (reap_ok && reap_drained ? "true" : "false") << "}";
-    out << ",\"timer_wheel\":{\"entries\":" << wheel.entries << ",\"fired\":" << wheel.fired
-        << ",\"arm_ns\":" << wheel.arm_ns << ",\"rearm_ns\":" << wheel.rearm_ns
-        << ",\"cancel_ns\":" << wheel.cancel_ns
-        << ",\"advance_ns_per_tick\":" << wheel.advance_ns_per_tick
-        << ",\"heap_push_ns\":" << wheel.heap_push_ns
-        << ",\"heap_rearm_ns\":" << wheel.heap_rearm_ns << "}";
+    out << ",\"idle_list\":{\"entries\":" << idle.entries << ",\"link_ns\":" << idle.link_ns
+        << ",\"touch_ns\":" << idle.touch_ns << ",\"unlink_ns\":" << idle.unlink_ns << "}";
+    out << ",\"timer_heap\":{\"armed\":" << heap.armed << ",\"fired\":" << heap.fired
+        << ",\"arm_ns\":" << heap.arm_ns << ",\"fire_ns\":" << heap.fire_ns << "}";
     out << ",\"open_loop\":{\"offered_rps\":" << open_loop.offered_rps
         << ",\"throughput_rps\":" << open_loop.throughput_rps
         << ",\"requests\":" << open_loop.requests

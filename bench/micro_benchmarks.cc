@@ -13,7 +13,7 @@
 #include "src/core/dispatcher.h"
 #include "src/http/request_parser.h"
 #include "src/net/event_loop.h"
-#include "src/net/timer_wheel.h"
+#include "src/net/idle_list.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/resources.h"
 #include "src/util/rng.h"
@@ -249,29 +249,30 @@ void BM_EventLoopSelfPost(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopSelfPost);
 
-// The connection keep-alive hot path at scale: rearm one deadline among N
-// live timers. The wheel unlinks and relinks two intrusive list nodes —
-// flat across N — where the old heap strategy (push the new deadline, leave
-// a tombstone to discard at pop) grows with log N and doubles the heap's
-// occupancy under churn. Run both at 1k and 100k live timers to see the
-// divergence the O(1) claim is about.
-void BM_TimerWheelRearm(benchmark::State& state) {
+// The connection keep-alive hot path at scale: every byte in or out splices
+// the connection to the tail of its loop's idle list. Two pointer swaps,
+// flat across N — where keeping idle deadlines as heap timers (push the new
+// deadline, leave a tombstone to discard at pop; the baseline below) grows
+// with log N and doubles the heap's occupancy under churn. Run both at 1k and
+// 100k live connections to see the divergence.
+void BM_IdleTouch(benchmark::State& state) {
+  struct Entry : IdleHook {};
   const size_t live = static_cast<size_t>(state.range(0));
-  TimerWheel wheel;
-  const int64_t horizon = wheel.horizon_ms();
-  for (size_t i = 0; i < live; ++i) {
-    wheel.Arm(i + 1, 1 + static_cast<int64_t>(i) % (horizon - 2), []() {});
+  std::vector<Entry> entries(live);
+  IdleList<Entry> list;
+  int64_t now = 0;
+  for (Entry& entry : entries) {
+    list.Touch(&entry, ++now);
   }
-  uint64_t id = 1;
-  int64_t deadline = 1;
+  size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(wheel.Rearm(id, 1 + deadline % (horizon - 2)));
-    id = id % live + 1;
-    deadline += 13;
+    list.Touch(&entries[next], ++now);
+    next = (next * 7 + 1) % live;  // scattered, not always the head
   }
+  benchmark::DoNotOptimize(list.front());
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TimerWheelRearm)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_IdleTouch)->Arg(1000)->Arg(100000);
 
 void BM_TimerHeapRearmBaseline(benchmark::State& state) {
   const size_t live = static_cast<size_t>(state.range(0));
@@ -293,30 +294,6 @@ void BM_TimerHeapRearmBaseline(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TimerHeapRearmBaseline)->Arg(1000)->Arg(100000);
-
-// One tick of wheel advance with N live timers spread across the horizon:
-// slot bookkeeping plus the ~N/512 deadline fires that tick owns. This is
-// the steady-state cost the event loop pays every 8 ms at scale. The wheel
-// is refilled (untimed) whenever a rotation drains it.
-void BM_TimerWheelAdvanceTick(benchmark::State& state) {
-  const size_t live = static_cast<size_t>(state.range(0));
-  TimerWheel wheel;
-  const int64_t horizon = wheel.horizon_ms();
-  int64_t now = 0;
-  for (auto _ : state) {
-    if (wheel.empty()) {
-      state.PauseTiming();
-      for (size_t i = 0; i < live; ++i) {
-        wheel.Arm(i + 1, now + 1 + static_cast<int64_t>(i) % (horizon - 2), []() {});
-      }
-      state.ResumeTiming();
-    }
-    now += wheel.tick_ms();
-    wheel.Advance(now, [](const std::function<void()>& fn) { fn(); });
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TimerWheelAdvanceTick)->Arg(1000)->Arg(100000);
 
 void BM_ZipfSample(benchmark::State& state) {
   Rng rng(1);

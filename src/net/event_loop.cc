@@ -2,6 +2,7 @@
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/prctl.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -27,12 +28,6 @@ EventLoop::EventLoop() {
 }
 
 EventLoop::~EventLoop() = default;
-
-int64_t EventLoop::NowMs() {
-  timespec ts{};
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1000000;
-}
 
 int64_t EventLoop::NowUs() {
   timespec ts{};
@@ -105,50 +100,10 @@ void EventLoop::Unregister(int fd) {
   ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, nullptr);
 }
 
-EventLoop::TimerId EventLoop::ScheduleAfterMs(int64_t delay_ms, std::function<void()> fn) {
+void EventLoop::ScheduleAfterUs(int64_t delay_us, std::function<void()> fn) {
   AssertInLoopThread();
-  const TimerId id = next_timer_id_++;
-  if (delay_ms < wheel_.horizon_ms()) {
-    // Short-deadline timers (idle deadlines, heartbeats, housekeeping) live
-    // on the hashed wheel: O(1) arm/cancel/rearm, no tombstones.
-    wheel_.Arm(id, NowMs() + delay_ms, std::move(fn));
-    return id;
-  }
-  timer_fns_[id] = std::move(fn);
-  timers_.push_back(Timer{NowMs() + delay_ms, id});
-  std::push_heap(timers_.begin(), timers_.end(), std::greater<Timer>());
-  return id;
-}
-
-void EventLoop::CancelTimer(TimerId id) {
-  AssertInLoopThread();
-  if (wheel_.Cancel(id)) {
-    return;
-  }
-  if (timer_fns_.erase(id) == 0) {
-    return;  // unknown or already fired
-  }
-  // The heap entry is now a tombstone; sweep once the dead outweigh the live
-  // so cancel-heavy workloads on long timers stay O(live).
-  ++heap_cancelled_;
-  if (heap_cancelled_ >= 16 && heap_cancelled_ * 2 > timers_.size()) {
-    PurgeCancelledTimers();
-  }
-}
-
-bool EventLoop::RearmTimerMs(TimerId id, int64_t delay_ms) {
-  AssertInLoopThread();
-  return delay_ms < wheel_.horizon_ms() && wheel_.Rearm(id, NowMs() + delay_ms);
-}
-
-void EventLoop::PurgeCancelledTimers() {
-  timers_.erase(std::remove_if(timers_.begin(), timers_.end(),
-                               [this](const Timer& timer) {
-                                 return timer_fns_.find(timer.id) == timer_fns_.end();
-                               }),
-                timers_.end());
-  std::make_heap(timers_.begin(), timers_.end(), std::greater<Timer>());
-  heap_cancelled_ = 0;
+  timers_.push_back(Timer{NowUs() + delay_us, next_timer_seq_++, std::move(fn)});
+  std::push_heap(timers_.begin(), timers_.end(), FiresLater);
 }
 
 void EventLoop::Post(std::function<void()> task) {
@@ -163,8 +118,8 @@ void EventLoop::Post(std::function<void()> task) {
   }
   pending_count_.fetch_add(1, std::memory_order_release);
   // A post from the loop thread itself needs no eventfd write: the loop is
-  // between callbacks right now, and NextTimeoutMs() sees pending_count_ > 0
-  // so the next epoll_wait returns immediately and drains the queue.
+  // between callbacks right now, and NextTimeout() sees pending_count_ > 0
+  // so the next epoll_pwait2 returns immediately and drains the queue.
   if (!IsInLoopThread()) {
     Wakeup();
   }
@@ -178,7 +133,7 @@ void EventLoop::Wakeup() {
 void EventLoop::DrainTasks() {
   // Fast path: the queue is empty in the common iteration; skip the mutex. A
   // concurrent Post() that this load misses also wrote the eventfd, so the
-  // next epoll_wait wakes immediately and the following drain sees it.
+  // next epoll_pwait2 wakes immediately and the following drain sees it.
   if (pending_count_.load(std::memory_order_acquire) == 0) {
     return;
   }
@@ -200,63 +155,49 @@ void EventLoop::DrainTasks() {
   }
 }
 
-int EventLoop::NextTimeoutMs() {
+timespec EventLoop::NextTimeout() {
   // Tasks posted after the last drain (e.g. by the loop thread itself, which
-  // skips the eventfd) must run now, not after a 100ms nap.
-  if (pending_count_.load(std::memory_order_acquire) > 0) {
-    return 0;
-  }
-  // Skip cancelled timers sitting at the heap top.
-  while (!timers_.empty() && timer_fns_.find(timers_.front().id) == timer_fns_.end()) {
-    std::pop_heap(timers_.begin(), timers_.end(), std::greater<Timer>());
-    timers_.pop_back();
-    if (heap_cancelled_ > 0) {
-      --heap_cancelled_;
+  // skips the eventfd) must run now, not after a nap.
+  int64_t sleep_us = 0;
+  if (pending_count_.load(std::memory_order_acquire) == 0) {
+    // Wake periodically even without timers so Stop() is prompt.
+    sleep_us = 100'000;
+    if (!timers_.empty()) {
+      sleep_us = std::clamp<int64_t>(timers_.front().deadline_us - NowUs(), 0, sleep_us);
     }
   }
-  const int64_t now = NowMs();
-  int64_t delta = 100;  // wake periodically so Stop() is prompt even without timers
-  if (!timers_.empty()) {
-    delta = std::min<int64_t>(delta, timers_.front().deadline_ms - now);
-  }
-  const int64_t wheel_next = wheel_.MsUntilNext(now);
-  if (wheel_next >= 0) {
-    delta = std::min(delta, wheel_next);
-  }
-  return static_cast<int>(std::max<int64_t>(delta, 0));
+  timespec timeout{};
+  timeout.tv_sec = static_cast<time_t>(sleep_us / 1'000'000);
+  timeout.tv_nsec = static_cast<long>(sleep_us % 1'000'000) * 1000;
+  return timeout;
 }
 
 void EventLoop::FireDueTimers() {
-  const int64_t now = NowMs();
-  wheel_.Advance(now, [this](std::function<void()>& fn) { RunTimed(fn); });
-  while (!timers_.empty() && timers_.front().deadline_ms <= now) {
-    const Timer timer = timers_.front();
-    std::pop_heap(timers_.begin(), timers_.end(), std::greater<Timer>());
+  const int64_t now = NowUs();
+  while (!timers_.empty() && timers_.front().deadline_us <= now) {
+    std::pop_heap(timers_.begin(), timers_.end(), FiresLater);
+    std::function<void()> fn = std::move(timers_.back().fn);
     timers_.pop_back();
-    auto it = timer_fns_.find(timer.id);
-    if (it == timer_fns_.end()) {
-      if (heap_cancelled_ > 0) {
-        --heap_cancelled_;
-      }
-      continue;  // cancelled tombstone reaching its original deadline
-    }
-    auto fn = std::move(it->second);
-    timer_fns_.erase(it);
     RunTimed(fn);
   }
 }
 
 void EventLoop::Run() {
   loop_thread_.store(std::this_thread::get_id(), std::memory_order_release);
+  // Deadlines are µs; the kernel's default 50 µs timer slack would let every
+  // wakeup drift by up to that much (a tenth of a scaled disk read). The
+  // setting is per thread, so only this loop's sleeps tighten.
+  (void)::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
   running_.store(true);
   epoll_event events[64];
   while (running_.load()) {
-    const int n = ::epoll_wait(epoll_fd_.get(), events, 64, NextTimeoutMs());
+    const timespec timeout = NextTimeout();
+    const int n = ::epoll_pwait2(epoll_fd_.get(), events, 64, &timeout, nullptr);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
       }
-      LARD_LOG(FATAL) << "epoll_wait: " << std::strerror(errno);
+      LARD_LOG(FATAL) << "epoll_pwait2: " << std::strerror(errno);
     }
     const bool profiling = profiling_.load(std::memory_order_relaxed);
     const int64_t tick_start = profiling ? NowUs() : 0;

@@ -2,10 +2,12 @@
 // prototype's front-end and back-end components (one loop thread each, like
 // the paper's kernel-resident protocol contexts).
 //
-// Threading contract: Register/Modify/Unregister and timer APIs must be
+// Threading contract: Register/Modify/Unregister and ScheduleAfterUs must be
 // called on the loop thread; Post() and Stop() may be called from any thread.
 #ifndef SRC_NET_EVENT_LOOP_H_
 #define SRC_NET_EVENT_LOOP_H_
+
+#include <time.h>
 
 #include <atomic>
 #include <cstdint>
@@ -17,7 +19,6 @@
 #include <vector>
 
 #include "src/net/fd.h"
-#include "src/net/timer_wheel.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
 
@@ -30,7 +31,6 @@ class MetricGauge;
 class EventLoop {
  public:
   using IoCallback = std::function<void(uint32_t epoll_events)>;
-  using TimerId = uint64_t;
 
   EventLoop();
   ~EventLoop();
@@ -44,21 +44,19 @@ class EventLoop {
   void Modify(int fd, uint32_t events);
   void Unregister(int fd);
 
-  // Runs `fn` once, `delay_ms` from now, on the loop thread. Short delays
-  // (under the timer wheel's horizon, ~4s) live on a hashed timer wheel with
-  // O(1) arm/cancel/rearm; longer one-shots go to the priority queue.
-  TimerId ScheduleAfterMs(int64_t delay_ms, std::function<void()> fn);
-  void CancelTimer(TimerId id);
-  // Pushes a live wheel timer's deadline out to `delay_ms` from now, keeping
-  // its callback: the per-connection idle-deadline fast path (no allocation,
-  // no new id). Returns false when `id` is not a live wheel timer — already
-  // fired, cancelled, or heap-resident — and the caller should schedule anew.
-  bool RearmTimerMs(TimerId id, int64_t delay_ms);
-  // Live timers across both backends (wheel + queue, tombstones excluded).
-  size_t pending_timers() const { return wheel_.size() + timer_fns_.size(); }
-  // Heap entries including cancelled tombstones — tests assert the purge
-  // keeps this O(live) under cancel churn.
-  size_t timer_heap_size() const { return timers_.size(); }
+  // Runs `fn` once on the loop thread, no earlier than `delay_us` from now.
+  // Every timer lives on one min-heap ordered by (deadline, arming order),
+  // and the loop sleeps in epoll_pwait2 until the earliest deadline, so a
+  // timer fires late only by the thread's wakeup latency. Timers are never
+  // cancelled: owners guard callbacks with a LivenessToken instead.
+  void ScheduleAfterUs(int64_t delay_us, std::function<void()> fn);
+  void ScheduleAfterMs(int64_t delay_ms, std::function<void()> fn) {
+    ScheduleAfterUs(delay_ms * 1000, std::move(fn));
+  }
+  size_t pending_timers() const { return timers_.size(); }
+
+  // The loop's clock: CLOCK_MONOTONIC in microseconds.
+  static int64_t NowUs();
 
   // Enqueues `task` for execution on the loop thread (thread-safe).
   void Post(std::function<void()> task);
@@ -100,23 +98,21 @@ class EventLoop {
 
  private:
   struct Timer {
-    int64_t deadline_ms = 0;
-    TimerId id = 0;
-    bool operator>(const Timer& other) const {
-      return deadline_ms != other.deadline_ms ? deadline_ms > other.deadline_ms : id > other.id;
-    }
+    int64_t deadline_us = 0;
+    uint64_t seq = 0;  // arming order: equal deadlines fire first-armed first
+    std::function<void()> fn;
   };
+  // Heap order for std::*_heap: the earliest (deadline, seq) on top.
+  static bool FiresLater(const Timer& a, const Timer& b) {
+    return a.deadline_us != b.deadline_us ? a.deadline_us > b.deadline_us : a.seq > b.seq;
+  }
 
-  static int64_t NowMs();
-  static int64_t NowUs();
   void Wakeup();
   void DrainTasks();
-  int NextTimeoutMs();
+  // How long epoll_pwait2 may sleep: zero while posted tasks wait, else
+  // until the earliest timer, and never more than 100 ms.
+  timespec NextTimeout();
   void FireDueTimers();
-  // Rebuilds timers_ without its cancelled tombstones (CancelTimer calls
-  // this once the dead fraction crosses a threshold, so a cancel-heavy
-  // workload on long timers stays O(live), not O(ever-scheduled)).
-  void PurgeCancelledTimers();
   // Runs `fn`, observing its duration into the callback histogram when
   // profiling is on.
   template <typename Fn>
@@ -141,7 +137,7 @@ class EventLoop {
   std::deque<PostedTask> tasks_ LARD_GUARDED_BY(tasks_mutex_);
   // Lock-free mirror of tasks_.size(): DrainTasks() skips the mutex entirely
   // when nothing is pending (the steady-state case — the drain runs every
-  // loop iteration), and NextTimeoutMs() returns 0 while tasks wait so a
+  // loop iteration), and NextTimeout() returns 0 while tasks wait so a
   // self-post during a drain is picked up next iteration without an eventfd
   // round trip.
   std::atomic<size_t> pending_count_{0};
@@ -155,22 +151,12 @@ class EventLoop {
   MetricHistogram* wakeup_delay_us_ = nullptr;
   MetricGauge* pending_tasks_ = nullptr;
 
-  // Loop-confined (no mutex by design): handlers_, wheel_, timers_,
-  // timer_fns_ and next_timer_id_ are only touched from the loop thread —
+  // Loop-confined (no mutex by design): handlers_, timers_ and
+  // next_timer_seq_ are only touched from the loop thread —
   // AssertInLoopThread() guards the mutating entry points at runtime and
   // tools/lint/concurrency_lint.py checks the callers statically.
-  //
-  // Two timer backends share the TimerId space: the hashed wheel owns every
-  // short-deadline timer (id + callback live inside it); timers_/timer_fns_
-  // is a min-heap (std::*_heap over a vector) for deadlines past the wheel's
-  // horizon. A cancelled heap timer leaves a tombstone in timers_ until
-  // PurgeCancelledTimers sweeps it; heap_cancelled_ counts the live
-  // tombstones so the sweep triggers on the dead fraction.
-  TimerWheel wheel_;
-  std::vector<Timer> timers_;
-  std::unordered_map<TimerId, std::function<void()>> timer_fns_;
-  size_t heap_cancelled_ = 0;
-  TimerId next_timer_id_ = 1;
+  std::vector<Timer> timers_;  // min-heap (FiresLater); entries own their callbacks
+  uint64_t next_timer_seq_ = 0;
   mutable std::atomic<uint64_t> pinning_violations_{0};
 };
 

@@ -391,7 +391,7 @@ BackendServer::ClientConn* BackendServer::AdoptCommon(int fe, ConnId conn_id, bo
   raw->replay_protected = replay_protected;
   raw->directives.assign(directives.begin(), directives.end());
   raw->preassigned_remaining = directives.size();
-  raw->last_activity_ms = NowMs();
+  TouchIdle(raw);
   raw->idle_reported = false;
   raw->conn = std::make_unique<Connection>(loop_, std::move(fd));
   raw->conn->set_on_data(
@@ -504,7 +504,7 @@ void BackendServer::OnClientData(ClientConn* conn, std::string_view data) {
   if (conn->closed) {
     return;
   }
-  conn->last_activity_ms = NowMs();
+  TouchIdle(conn);
   std::vector<HttpRequest> requests;
   const RequestParser::State parse_state = conn->parser.Feed(data, &requests);
   if (conn->replay_protected &&
@@ -743,6 +743,7 @@ void BackendServer::DoHandback(ConnId conn_id) {
   // State is gone from this node; do NOT notify kConnClosed — the connection
   // lives on at the target. (Deferred: we may be inside a callback.)
   conn->closed = true;
+  idle_conns_.Unlink(conn);
   loop_->Post(alive_.Guard([this, id = conn->id]() { conns_.erase(id); }));
 }
 
@@ -883,7 +884,7 @@ void BackendServer::WriteResponse(ClientConn* conn, const HttpRequest& request, 
     conn->splice_remaining = 0;
   }
   conn->conn->Write(serialized);
-  conn->last_activity_ms = NowMs();
+  TouchIdle(conn);
   if (conn->timed && conn->serve_start_us > 0) {
     const int64_t now_us = TraceNowUs();
     const int64_t total_us = now_us - conn->serve_start_us;
@@ -1007,6 +1008,7 @@ void BackendServer::CloseClient(ClientConn* conn, bool notify_frontend) {
     return;
   }
   conn->closed = true;
+  idle_conns_.Unlink(conn);
   FramedChannel* channel = FeChannel(conn->fe);
   if (notify_frontend && channel != nullptr) {
     channel->Send(static_cast<uint8_t>(ControlMsg::kConnClosed), EncodeU64(conn->id));
@@ -1016,19 +1018,26 @@ void BackendServer::CloseClient(ClientConn* conn, bool notify_frontend) {
   loop_->Post(alive_.Guard([this, id = conn->id]() { conns_.erase(id); }));
 }
 
+void BackendServer::TouchIdle(ClientConn* conn) {
+  loop_->AssertInLoopThread();
+  if (config_.idle_close_ms > 0) {
+    idle_conns_.Touch(conn, EventLoop::NowUs());
+  }
+}
+
 void BackendServer::SweepIdleConnections() {
+  loop_->AssertInLoopThread();
   if (config_.idle_close_ms <= 0) {
     return;
   }
-  const int64_t now = NowMs();
-  std::vector<ClientConn*> idle;
-  for (auto& [id, conn] : conns_) {
-    if (!conn->closed && !conn->serving && conn->requests.empty() &&
-        now - conn->last_activity_ms >= config_.idle_close_ms) {
-      idle.push_back(conn.get());
+  const int64_t now = EventLoop::NowUs();
+  idle_conns_.PopExpired(now - config_.idle_close_ms * 1000, [&](ClientConn* conn) {
+    if (conn->serving || !conn->requests.empty()) {
+      // Busy without moving bytes (a disk read or a consult in flight): its
+      // window restarts now.
+      idle_conns_.Touch(conn, now);
+      return;
     }
-  }
-  for (ClientConn* conn : idle) {
     counters_.idle_closes.fetch_add(1, std::memory_order_relaxed);
     if (metric_idle_closes_ != nullptr) {
       metric_idle_closes_->Increment();
@@ -1036,7 +1045,7 @@ void BackendServer::SweepIdleConnections() {
     // notify_frontend: the kConnClosed message is what lets the front-end
     // reap its half (dispatcher entry, journal, retained dup).
     CloseClient(conn, /*notify_frontend=*/true);
-  }
+  });
 }
 
 // ---------------------------------------------------------------------------

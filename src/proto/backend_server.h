@@ -38,6 +38,7 @@
 #include "src/net/connection.h"
 #include "src/net/event_loop.h"
 #include "src/net/framed_channel.h"
+#include "src/net/idle_list.h"
 #include "src/obs/samplers.h"
 #include "src/obs/time_series.h"
 #include "src/proto/content_store.h"
@@ -140,7 +141,9 @@ class BackendServer {
   const TimeSeriesStore* telemetry() const { return telemetry_.get(); }
 
  private:
-  struct ClientConn {
+  // On idle_conns_ (when idle_close_ms > 0) from adoption until it closes or
+  // is handed back, spliced to the tail on every byte in or out.
+  struct ClientConn : IdleHook {
     ConnId id = 0;
     int fe = 0;  // the front-end whose control session handed this conn off
     std::unique_ptr<Connection> conn;
@@ -193,7 +196,6 @@ class BackendServer {
     bool serving = false;       // a response is being produced (serial per conn)
     bool migrating = false;     // hand-back in progress: no consults, no serves
     bool idle_reported = true;  // kIdle sent and nothing new since
-    int64_t last_activity_ms = 0;
     // Tracing (verdicts cached at adoption). `traced` = spans recorded;
     // `timed` = per-request timestamps taken (traced, or the slow-request
     // log is armed — which must see every request, not just sampled ones).
@@ -264,6 +266,10 @@ class BackendServer {
   void DestroyLateralConn(uint64_t lateral_id);
 
   void Housekeeping();
+  // Bytes moved on `conn`: it goes to the tail of idle_conns_.
+  void TouchIdle(ClientConn* conn);
+  // Closes the connections at the head of idle_conns_ that have been idle
+  // for idle_close_ms.
   void SweepIdleConnections();
   void MaybeSendHeartbeat();
   // One telemetry sampling tick (loop thread, self-rescheduling guarded
@@ -296,6 +302,7 @@ class BackendServer {
   std::vector<std::unique_ptr<LateralClient>> peers_;  // index = NodeId
 
   std::unordered_map<ConnId, std::unique_ptr<ClientConn>> conns_;
+  IdleList<ClientConn> idle_conns_;  // least recently active first
   std::unordered_map<uint64_t, std::unique_ptr<LateralConn>> lateral_conns_;
   uint64_t next_lateral_id_ = 1;
 

@@ -1,7 +1,5 @@
 #include "src/proto/disk_gate.h"
 
-#include <time.h>
-
 #include <algorithm>
 #include <cmath>
 
@@ -14,22 +12,15 @@ DiskGate::DiskGate(EventLoop* loop, const DiskCostModel& costs, double time_scal
   LARD_CHECK(time_scale_ > 0.0);
 }
 
-int64_t DiskGate::NowMs() {
-  timespec ts{};
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1000000;
-}
-
 void DiskGate::Read(uint64_t bytes, std::function<void()> done) {
-  const double service_ms = DiskServiceTimeUs(costs_, bytes) * time_scale_ / 1000.0;
-  const int64_t now = NowMs();
-  const int64_t start = std::max(now, busy_until_ms_);
-  const int64_t completion =
-      start + std::max<int64_t>(1, static_cast<int64_t>(std::llround(service_ms)));
-  busy_until_ms_ = completion;
+  const int64_t service_us = std::max<int64_t>(
+      1, std::llround(DiskServiceTimeUs(costs_, bytes) * time_scale_));
+  const int64_t now = EventLoop::NowUs();
+  const int64_t completion = std::max(now, busy_until_us_) + service_us;
+  busy_until_us_ = completion;
   ++outstanding_;
   ++total_reads_;
-  loop_->ScheduleAfterMs(completion - now, alive_.Guard([this, done = std::move(done)]() {
+  loop_->ScheduleAfterUs(completion - now, alive_.Guard([this, done = std::move(done)]() {
                            --outstanding_;
                            done();
                          }));

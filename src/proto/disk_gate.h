@@ -2,7 +2,8 @@
 // through a single-server FCFS queue whose service time follows the same
 // seek/rotation/transfer model as the simulator's disk, scaled by
 // `time_scale` so tests can compress wall-clock time. Runs entirely on the
-// back-end's event loop (timers), so "disk waits" never block the loop.
+// back-end's event loop (µs timers), so "disk waits" never block the loop and
+// a scaled read completes when the model says, not at a timer tick.
 //
 // The queue length (outstanding reads) is the disk-utilization signal the
 // back-end reports to the front-end dispatcher.
@@ -37,15 +38,13 @@ class DiskGate {
   uint64_t total_reads() const { return total_reads_; }
 
  private:
-  static int64_t NowMs();
-
   EventLoop* loop_;
   DiskCostModel costs_;
   double time_scale_;
   LivenessToken alive_;
   int outstanding_ = 0;
   uint64_t total_reads_ = 0;
-  int64_t busy_until_ms_ = 0;
+  int64_t busy_until_us_ = 0;  // when the last submitted read completes
 };
 
 }  // namespace lard

@@ -1134,7 +1134,7 @@ void FrontEnd::AdoptClientFd(LoopShard* shard, UniqueFd fd) {
              static_cast<int32_t>(config_.fe_id), TraceNowUs(), 0, "fd=%d", raw_fd);
   shard->conns.emplace(raw->id, std::move(conn));
   conns_fe_owned_.fetch_add(1, std::memory_order_relaxed);
-  ArmIdleTimer(raw);
+  TouchIdle(raw);
 
   if (config_.mechanism == Mechanism::kRelayingFrontEnd) {
     raw->in_dispatcher = true;
@@ -1149,7 +1149,7 @@ void FrontEnd::OnClientData(FeConn* conn, std::string_view data) {
   if (conn->closed) {
     return;
   }
-  TouchIdleTimer(conn);
+  TouchIdle(conn);
   conn->raw_bytes.append(data.data(), data.size());
   std::vector<HttpRequest> requests;
   if (conn->parser.Feed(data, &requests) == RequestParser::State::kError) {
@@ -1313,10 +1313,7 @@ void FrontEnd::HandoffFlow(FeConn* conn, std::vector<HttpRequest> requests) {
   // does not. (Deferred: we are inside this Connection's on_data callback.)
   // Idleness is the adopting back-end's concern from here (its idle_close_ms
   // sweep), so the shard-side deadline stands down.
-  if (conn->idle_timer != 0) {
-    conn->shard->loop->CancelTimer(conn->idle_timer);
-    conn->idle_timer = 0;
-  }
+  conn->shard->idle_conns.Unlink(conn);
   conn->closed = true;
   conns_fe_owned_.fetch_sub(1, std::memory_order_relaxed);
   LoopShard* shard = conn->shard;
@@ -1461,7 +1458,7 @@ void FrontEnd::ProcessNextRelay(LoopShard* shard, ConnId id) {
         }
         conn->conn->Write(response.Serialize());
         conn->serving = false;
-        TouchIdleTimer(conn);  // bytes out: the keep-alive window restarts
+        TouchIdle(conn);  // bytes out: the keep-alive window restarts
         if (!keep_alive) {
           conn->conn->CloseAfterFlush();
           DestroyConn(conn);
@@ -1480,10 +1477,7 @@ void FrontEnd::DestroyConn(FeConn* conn) {
   }
   conn->closed = true;
   conns_fe_owned_.fetch_sub(1, std::memory_order_relaxed);
-  if (conn->idle_timer != 0) {
-    conn->shard->loop->CancelTimer(conn->idle_timer);
-    conn->idle_timer = 0;
-  }
+  conn->shard->idle_conns.Unlink(conn);
   if (conn->in_dispatcher) {
     MutexLock lock(&state_mutex_);
     if (live_in_dispatcher_.erase(conn->id) > 0) {
@@ -1494,66 +1488,53 @@ void FrontEnd::DestroyConn(FeConn* conn) {
   shard->loop->Post(alive_.Guard([shard, id = conn->id]() { shard->conns.erase(id); }));
 }
 
-void FrontEnd::ArmIdleTimer(FeConn* conn) {
-  conn->shard->loop->AssertInLoopThread();
-  const int64_t timeout = idle_timeout_ms();
-  if (timeout <= 0) {
-    return;  // reaper disabled
-  }
-  conn->last_activity_ms = NowMs();
+void FrontEnd::TouchIdle(FeConn* conn) {
   LoopShard* shard = conn->shard;
-  conn->idle_timer = shard->loop->ScheduleAfterMs(
-      timeout, alive_.Guard([this, shard, id = conn->id]() { OnIdleDeadline(shard, id); }));
-}
-
-void FrontEnd::TouchIdleTimer(FeConn* conn) {
-  conn->last_activity_ms = NowMs();
-  const int64_t timeout = idle_timeout_ms();
-  if (timeout <= 0) {
-    return;  // a still-armed timer no-ops at its deadline
-  }
-  if (conn->idle_timer != 0) {
-    // O(1) when the timer is wheel-resident; a heap-resident deadline keeps
-    // its slot and OnIdleDeadline re-checks last_activity_ms instead.
-    (void)conn->shard->loop->RearmTimerMs(conn->idle_timer, timeout);
-    return;
-  }
-  ArmIdleTimer(conn);  // reaper was off (or the timer already fired)
-}
-
-void FrontEnd::OnIdleDeadline(LoopShard* shard, ConnId id) {
   shard->loop->AssertInLoopThread();
-  auto it = shard->conns.find(id);
-  if (it == shard->conns.end()) {
-    return;
+  if (!conn->idle_linked() && idle_timeout_ms() <= 0) {
+    return;  // reaper off: the next byte under a deadline links it
   }
-  FeConn* conn = it->second.get();
-  conn->idle_timer = 0;  // this firing consumed the id
-  if (conn->closed) {
-    return;
+  shard->idle_conns.Touch(conn, EventLoop::NowUs());
+  if (!shard->idle_sweep_armed) {
+    ScheduleIdleSweep(shard);
   }
-  const int64_t timeout = idle_timeout_ms();
-  if (timeout <= 0) {
-    return;  // reaping turned off while armed
+}
+
+void FrontEnd::ScheduleIdleSweep(LoopShard* shard) {
+  shard->loop->AssertInLoopThread();
+  shard->idle_sweep_armed = true;
+  const int64_t period_ms = std::max<int64_t>(idle_timeout_ms() / 8, 1);
+  shard->loop->ScheduleAfterMs(period_ms, alive_.Guard([this, shard]() { SweepIdle(shard); }));
+}
+
+void FrontEnd::SweepIdle(LoopShard* shard) {
+  shard->loop->AssertInLoopThread();
+  shard->idle_sweep_armed = false;
+  const int64_t timeout_ms = idle_timeout_ms();
+  if (timeout_ms <= 0 || shard->idle_conns.empty()) {
+    return;  // the next touch under a deadline restarts the sweep
   }
-  const int64_t idle_for = NowMs() - conn->last_activity_ms;
-  const int64_t remaining = conn->serving ? timeout : timeout - idle_for;
-  if (remaining > 0) {
-    // Activity since the arm (a heap-resident timer skips the O(1) rearm),
-    // or a relayed response still in flight: push the deadline out.
-    conn->idle_timer = shard->loop->ScheduleAfterMs(
-        remaining, alive_.Guard([this, shard, id]() { OnIdleDeadline(shard, id); }));
-    return;
+  const int64_t now = EventLoop::NowUs();
+  shard->idle_conns.PopExpired(now - timeout_ms * 1000, [&](FeConn* conn) {
+    if (conn->serving) {
+      // A relayed response is still in flight: its window restarts now.
+      shard->idle_conns.Touch(conn, now);
+      return;
+    }
+    const int64_t idle_for_ms = (now - conn->last_active_us()) / 1000;
+    counters_.idle_closes.fetch_add(1, std::memory_order_relaxed);
+    if (metric_idle_closes_ != nullptr) {
+      metric_idle_closes_->Increment();
+    }
+    RecordSpan(tracer_, shard->trace_ring, conn->id, 8, SpanKind::kClose,
+               static_cast<int32_t>(config_.fe_id), TraceNowUs(), 0, "idle after=%lldms",
+               static_cast<long long>(idle_for_ms));
+    conn->conn->CloseAfterFlush();
+    DestroyConn(conn);
+  });
+  if (!shard->idle_conns.empty()) {
+    ScheduleIdleSweep(shard);
   }
-  counters_.idle_closes.fetch_add(1, std::memory_order_relaxed);
-  if (metric_idle_closes_ != nullptr) {
-    metric_idle_closes_->Increment();
-  }
-  RecordSpan(tracer_, shard->trace_ring, id, 8, SpanKind::kClose,
-             static_cast<int32_t>(config_.fe_id), TraceNowUs(), 0, "idle after=%lldms",
-             static_cast<long long>(idle_for));
-  conn->conn->CloseAfterFlush();
-  DestroyConn(conn);
 }
 
 void FrontEnd::RunOnLoop0(std::function<void()> fn) {

@@ -62,6 +62,7 @@
 #include "src/net/event_loop.h"
 #include "src/net/event_loop_group.h"
 #include "src/net/framed_channel.h"
+#include "src/net/idle_list.h"
 #include "src/obs/samplers.h"
 #include "src/obs/slo_watchdog.h"
 #include "src/obs/time_series.h"
@@ -115,10 +116,10 @@ struct FrontEndConfig {
   // Keep-alive bound for front-end-owned client connections: a connection
   // with no bytes in or out for this long is closed and its shard state
   // reaped (the P-HTTP idle reaper; the paper's back-ends use the companion
-  // BackendConfig::idle_close_ms for adopted connections). The deadline is a
-  // per-connection timer-wheel entry rearmed on every read/write, so the
-  // cost is O(1) per event at any connection count. Runtime-tunable via
-  // POST /idletimeout. <= 0 disables.
+  // BackendConfig::idle_close_ms for adopted connections). Each read/write
+  // splices the connection to the tail of its shard's idle list, O(1) at any
+  // connection count, and a sweep every timeout/8 closes the expired head.
+  // Runtime-tunable via POST /idletimeout. <= 0 disables.
   int64_t idle_timeout_ms = 30000;
   // Crash-transparent request replay: the front-end retains a dup of every
   // handed-off client socket plus a bounded journal of unacknowledged
@@ -298,18 +299,15 @@ class FrontEnd {
   // here) is lazily allocated: a libstdc++ deque is ~80 bytes inline plus a
   // ~512-byte map block the moment it constructs, which would dwarf the rest
   // of the struct for every handed-off connection.
-  struct FeConn {
+  // The IdleHook places the connection on its shard's idle list (linked
+  // while an idle deadline applies, spliced to the tail on every byte in or
+  // out); the shard's sweep reaps it from the head.
+  struct FeConn : IdleHook {
     ConnId id = 0;
     LoopShard* shard = nullptr;  // owning loop; all callbacks fire there
     std::unique_ptr<Connection> conn;
     RequestParser parser;
     std::string raw_bytes;  // everything received (shipped on handoff)
-    // Idle-deadline wheel timer on the owning loop (0 = none armed):
-    // rearmed on every byte in/out, fired = reap the connection. Deadlines
-    // past the wheel horizon fall back to a lazy check: the timer fires,
-    // compares last_activity_ms, and re-arms for the remainder.
-    EventLoop::TimerId idle_timer = 0;
-    int64_t last_activity_ms = 0;
     // Relaying mode queue of parsed-but-unserved requests (see above).
     std::unique_ptr<std::deque<std::pair<HttpRequest, NodeId>>> relay_queue;
     bool in_dispatcher = false;
@@ -329,6 +327,10 @@ class FrontEnd {
     ConnId next_conn_id = 0;
     TraceRing* trace_ring = nullptr;  // "fe<k>" for shard 0, "fe<k>.<n>" else
     std::vector<std::unique_ptr<LateralClient>> relays;  // relaying mode
+    // FE-owned connections under an idle deadline, least recently active
+    // first, and whether the sweep that reaps them is scheduled.
+    IdleList<FeConn> idle_conns;
+    bool idle_sweep_armed = false;
   };
 
   // The loop-0-owned half of a shard-initiated handoff: journal bookkeeping
@@ -375,13 +377,17 @@ class FrontEnd {
 
   // --- idle-deadline reaper (each call on the connection's shard loop) ---
 
-  // Arms (or re-arms after a config change) `conn`'s idle timer.
-  void ArmIdleTimer(FeConn* conn);
-  // Bytes moved in either direction: push the deadline out. The wheel rearm
-  // is O(1); a dead/fired timer id falls back to a fresh arm.
-  void TouchIdleTimer(FeConn* conn);
-  // The deadline fired with no intervening activity: close + reap.
-  void OnIdleDeadline(LoopShard* shard, ConnId id);
+  // Adoption, or bytes moved in either direction: `conn` goes to the tail of
+  // its shard's idle list. A connection adopted while reaping was off stays
+  // unlinked until its next byte under a deadline.
+  void TouchIdle(FeConn* conn);
+  // Schedules the shard's sweep one period ahead: an eighth of the idle
+  // timeout, so a connection is reaped between 1x and 1.125x the timeout
+  // after its last byte.
+  void ScheduleIdleSweep(LoopShard* shard);
+  // Closes every connection idle for the timeout; reschedules itself while
+  // the list is non-empty.
+  void SweepIdle(LoopShard* shard);
 
   void HandoffFlow(FeConn* conn, std::vector<HttpRequest> requests);
   // Loop 0. Re-checks the target's control session (the shard's dispatcher

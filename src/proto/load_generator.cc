@@ -19,11 +19,15 @@
 namespace lard {
 namespace {
 
-int64_t NowMs() {
+// Batches on the hot path take ~100 µs, so they are timed in ns: a ms clock
+// would read every one as 0 or 1.
+int64_t NowNs() {
   timespec ts{};
   ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1000000;
+  return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
 }
+
+double NsToMs(int64_t ns) { return static_cast<double>(ns) / 1e6; }
 
 // Per-worker tallies, merged under a mutex at the end.
 struct WorkerStats {
@@ -34,7 +38,7 @@ struct WorkerStats {
   uint64_t transport_errors = 0;
   uint64_t bytes_received = 0;
   StreamingStats batch_latency_ms;
-  PercentileTracker batch_latency_p;
+  std::vector<double> batch_latencies_ms;  // pooled across workers for p95
   std::vector<LatencySample> samples;  // only when config.record_latencies
   StreamingStats start_lag_ms;         // open-loop mode: schedule slippage
   double max_start_lag_ms = 0.0;
@@ -111,8 +115,8 @@ void ApplyRecvTimeout(int fd, int64_t timeout_ms) {
 
 class Worker {
  public:
-  Worker(const LoadGeneratorConfig* config, const Trace* trace, int64_t load_start_ms)
-      : config_(config), trace_(trace), load_start_ms_(load_start_ms) {}
+  Worker(const LoadGeneratorConfig* config, const Trace* trace, int64_t load_start_ns)
+      : config_(config), trace_(trace), load_start_ns_(load_start_ns) {}
 
   void RunSession(const TraceSession& session, size_t session_index, WorkerStats* stats) {
     port_ = config_->ports.empty() ? config_->port
@@ -144,13 +148,14 @@ class Worker {
     return response.body.compare(0, header.size(), header) == 0;
   }
 
-  void RecordLatency(int64_t end_ms, double latency_ms, size_t requests,
+  void RecordLatency(int64_t start_ns, int64_t end_ns, size_t requests,
                      WorkerStats* stats) const {
+    const double latency_ms = NsToMs(end_ns - start_ns);
     stats->batch_latency_ms.Add(latency_ms);
-    stats->batch_latency_p.Add(latency_ms);
+    stats->batch_latencies_ms.push_back(latency_ms);
     if (config_->record_latencies) {
-      stats->samples.push_back(
-          {end_ms - load_start_ms_, latency_ms, static_cast<uint32_t>(requests)});
+      stats->samples.push_back({(end_ns - load_start_ns_) / 1'000'000, latency_ms,
+                                static_cast<uint32_t>(requests)});
     }
   }
 
@@ -178,15 +183,14 @@ class Worker {
         }
         out += "\r\n";
       }
-      const int64_t start = NowMs();
+      const int64_t start = NowNs();
       stats->requests += batch.targets.size();
       if (!SendAll(fd.value().get(), out) ||
           !ReadResponses(fd.value().get(), batch.targets.size(), &parser, &responses)) {
         stats->transport_errors += 1;
         return;
       }
-      const int64_t end = NowMs();
-      RecordLatency(end, static_cast<double>(end - start), batch.targets.size(), stats);
+      RecordLatency(start, NowNs(), batch.targets.size(), stats);
       for (size_t i = 0; i < responses.size(); ++i) {
         if (Verify(responses[i], batch.targets[i], stats)) {
           ++stats->responses_ok;
@@ -211,15 +215,14 @@ class Worker {
             "GET " + trace_->catalog().Get(target).path + " HTTP/1.0\r\nHost: cluster\r\n\r\n";
         ResponseParser parser;
         std::vector<HttpResponse> responses;
-        const int64_t start = NowMs();
+        const int64_t start = NowNs();
         ++stats->requests;
         if (!SendAll(fd.value().get(), out) ||
             !ReadResponses(fd.value().get(), 1, &parser, &responses)) {
           ++stats->transport_errors;
           continue;
         }
-        const int64_t end = NowMs();
-        RecordLatency(end, static_cast<double>(end - start), 1, stats);
+        RecordLatency(start, NowNs(), 1, stats);
         if (Verify(responses[0], target, stats)) {
           ++stats->responses_ok;
         } else {
@@ -231,7 +234,7 @@ class Worker {
 
   const LoadGeneratorConfig* config_;
   const Trace* trace_;
-  int64_t load_start_ms_ = 0;
+  int64_t load_start_ns_ = 0;
   uint16_t port_ = 0;  // this session's front-end
 };
 
@@ -256,7 +259,7 @@ LoadResult RunLoad(const LoadGeneratorConfig& config, const Trace& trace) {
       open_loop ? BuildArrivalSchedule(session_limit, config.open_loop_rps, config.open_loop_seed)
                 : std::vector<double>();
   const auto open_loop_epoch = std::chrono::steady_clock::now();
-  const int64_t start_ms = NowMs();
+  const int64_t start_ns = NowNs();
 
   Mutex merge_mutex;
   WorkerStats merged;
@@ -264,7 +267,7 @@ LoadResult RunLoad(const LoadGeneratorConfig& config, const Trace& trace) {
   PercentileTracker merged_p;
 
   auto worker_fn = [&]() {
-    Worker worker(&config, &trace, start_ms);
+    Worker worker(&config, &trace, start_ns);
     WorkerStats stats;
     while (!time_up.load(std::memory_order_relaxed)) {
       const size_t index = next_session.fetch_add(1, std::memory_order_relaxed);
@@ -287,7 +290,7 @@ LoadResult RunLoad(const LoadGeneratorConfig& config, const Trace& trace) {
         }
       }
       worker.RunSession(trace.sessions()[index], index, &stats);
-      if (config.time_limit_ms > 0 && NowMs() - start_ms > config.time_limit_ms) {
+      if (config.time_limit_ms > 0 && NsToMs(NowNs() - start_ns) > config.time_limit_ms) {
         time_up.store(true, std::memory_order_relaxed);
       }
     }
@@ -303,10 +306,8 @@ LoadResult RunLoad(const LoadGeneratorConfig& config, const Trace& trace) {
     merged.max_start_lag_ms = std::max(merged.max_start_lag_ms, stats.max_start_lag_ms);
     merged.late_sessions += stats.late_sessions;
     merged.samples.insert(merged.samples.end(), stats.samples.begin(), stats.samples.end());
-    if (stats.batch_latency_p.count() > 0) {
-      // Cross-worker p95 is summarized as the median of per-worker p95s
-      // (workers see statistically identical session streams).
-      merged_p.Add(stats.batch_latency_p.Percentile(95.0));
+    for (const double latency_ms : stats.batch_latencies_ms) {
+      merged_p.Add(latency_ms);
     }
   };
 
@@ -326,7 +327,7 @@ LoadResult RunLoad(const LoadGeneratorConfig& config, const Trace& trace) {
   result.responses_bad = merged.responses_bad;
   result.transport_errors = merged.transport_errors;
   result.bytes_received = merged.bytes_received;
-  result.wall_seconds = static_cast<double>(NowMs() - start_ms) / 1000.0;
+  result.wall_seconds = NsToMs(NowNs() - start_ns) / 1000.0;
   if (result.wall_seconds > 0.0) {
     result.throughput_rps = static_cast<double>(result.responses_ok + result.responses_bad) /
                             result.wall_seconds;
@@ -334,7 +335,7 @@ LoadResult RunLoad(const LoadGeneratorConfig& config, const Trace& trace) {
         8.0 * static_cast<double>(result.bytes_received) / 1e6 / result.wall_seconds;
   }
   result.mean_batch_latency_ms = merged_latency.mean();
-  result.p95_batch_latency_ms = merged_p.Percentile(50.0);  // median of workers' p95s
+  result.p95_batch_latency_ms = merged_p.Percentile(95.0);
   result.latency_samples = std::move(merged.samples);
   if (open_loop) {
     result.offered_rps = config.open_loop_rps;

@@ -72,6 +72,8 @@ struct LoadResult {
   double wall_seconds = 0.0;
   double throughput_rps = 0.0;
   double throughput_mbps = 0.0;
+  // Batches are timed with a ns clock; the p95 is over every batch of every
+  // worker.
   double mean_batch_latency_ms = 0.0;
   double p95_batch_latency_ms = 0.0;
   // Filled when config.record_latencies: every batch completion across all

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <future>
+#include <memory>
 #include <thread>
 
 #include "src/net/connection.h"
@@ -13,6 +14,7 @@
 #include "src/net/fd.h"
 #include "src/net/framed_channel.h"
 #include "src/net/socket.h"
+#include "src/util/liveness.h"
 
 namespace lard {
 namespace {
@@ -104,13 +106,18 @@ TEST_F(LoopFixture, TimerFires) {
   EXPECT_EQ(fired.get_future().wait_for(std::chrono::seconds(5)), std::future_status::ready);
 }
 
-TEST_F(LoopFixture, CancelledTimerDoesNotFire) {
+TEST_F(LoopFixture, GuardedTimerOfDestroyedOwnerDoesNotFire) {
+  // Timers are not cancelled; an owner that goes away first invalidates its
+  // LivenessToken and the pending callback becomes a no-op.
   std::atomic<bool> fired{false};
+  std::promise<void> later_fired;
   OnLoop([&]() {
-    const EventLoop::TimerId id = loop_.ScheduleAfterMs(20, [&]() { fired.store(true); });
-    loop_.CancelTimer(id);
+    auto owner = std::make_unique<LivenessToken>();
+    loop_.ScheduleAfterMs(20, owner->Guard([&]() { fired.store(true); }));
+    owner->Invalidate();
+    loop_.ScheduleAfterMs(60, [&]() { later_fired.set_value(); });
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  later_fired.get_future().wait();
   EXPECT_FALSE(fired.load());
 }
 

@@ -4,8 +4,7 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
-#include <future>
-#include <thread>
+#include <cmath>
 
 #include "src/net/socket.h"
 #include "src/proto/cluster.h"
@@ -186,38 +185,42 @@ TEST(ProtoClusterTest, LardConcentratesTargetsPerNode) {
   EXPECT_GT(lard_hits, wrr_hits) << "LARD should aggregate the node caches";
 }
 
+TEST(ProtoClusterTest, LoadGeneratorTimesSubMillisecondBatches) {
+  // A warm cache serves a batch in a fraction of a millisecond. The load
+  // generator's latencies must resolve that, not read 0 or 1 ms.
+  const Trace trace = TestTrace(13);
+  ClusterConfig config = BaseConfig(2, Policy::kExtendedLard, Mechanism::kBackEndForwarding);
+  config.backend_cache_bytes = 32ull * 1024 * 1024;  // the whole corpus fits
+  Cluster cluster(config, &trace.catalog());
+  ASSERT_TRUE(cluster.Start().ok());
+  (void)Drive(cluster, trace, /*http10=*/false, /*clients=*/2);  // warm every cache
+  LoadGeneratorConfig load;
+  load.port = cluster.port();
+  load.num_clients = 2;
+  load.record_latencies = true;
+  const LoadResult result = RunLoad(load, trace);
+  cluster.Stop();
+  ASSERT_EQ(result.responses_ok, result.requests);
+  ASSERT_FALSE(result.latency_samples.empty());
+  EXPECT_GT(result.mean_batch_latency_ms, 0.0);
+  EXPECT_NE(result.mean_batch_latency_ms, std::round(result.mean_batch_latency_ms));
+  EXPECT_GT(result.p95_batch_latency_ms, 0.0);
+  EXPECT_NE(result.p95_batch_latency_ms, std::round(result.p95_batch_latency_ms))
+      << "p95 is a whole number of ms: batches timed with a ms clock?";
+  size_t whole_ms = 0;
+  for (const LatencySample& sample : result.latency_samples) {
+    whole_ms += sample.latency_ms == std::round(sample.latency_ms) ? 1 : 0;
+  }
+  EXPECT_LE(whole_ms * 100, result.latency_samples.size())
+      << whole_ms << " of " << result.latency_samples.size() << " batches read a whole ms";
+}
+
 TEST(ProtoClusterTest, StopIsIdempotent) {
   const Trace trace = TestTrace(29);
   Cluster cluster(BaseConfig(2, Policy::kWrr, Mechanism::kSingleHandoff), &trace.catalog());
   ASSERT_TRUE(cluster.Start().ok());
   cluster.Stop();
   cluster.Stop();
-}
-
-TEST(DiskGateTest, FcfsOrderingAndQueueLength) {
-  EventLoop loop;
-  std::thread thread([&]() { loop.Run(); });
-  DiskCostModel costs;
-  costs.initial_latency_us = 20000;  // 20 ms
-  DiskGate gate(&loop, costs, 0.1);  // -> 2 ms per read
-
-  std::promise<void> done;
-  std::vector<int> order;
-  loop.Post([&]() {
-    gate.Read(1024, [&]() { order.push_back(1); });
-    gate.Read(1024, [&]() { order.push_back(2); });
-    gate.Read(1024, [&]() {
-      order.push_back(3);
-      done.set_value();
-    });
-    EXPECT_EQ(gate.queue_length(), 3);
-  });
-  done.get_future().wait();
-  loop.Stop();
-  thread.join();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(gate.queue_length(), 0);
-  EXPECT_EQ(gate.total_reads(), 3u);
 }
 
 }  // namespace

@@ -121,10 +121,10 @@ TEST(ConcurrencyContractTest, OffThreadLoopTouchIsCountedInRelease) {
   }
 
   EXPECT_EQ(loop.pinning_violations(), 0u);
-  // CancelTimer is a loop-confined API; with no timers registered the call
-  // touches no state the loop thread also touches, so the only observable
-  // effect is the violation count.
-  loop.CancelTimer(12345);
+  // Unregister is a loop-confined API; for an fd that was never registered
+  // the call only reads the handler table (no concurrent write), so the only
+  // observable effect is the violation count.
+  loop.Unregister(12345);
   EXPECT_GE(loop.pinning_violations(), 1u);
 
   loop.Stop();
@@ -136,8 +136,8 @@ TEST(ConcurrencyContractTest, OffThreadLoopTouchIsCountedInRelease) {
 // owner thread is legal and must not count as a violation.
 TEST(ConcurrencyContractTest, SetupBeforeRunDoesNotCountAsViolation) {
   EventLoop loop;
-  const EventLoop::TimerId id = loop.ScheduleAfterMs(10'000, []() {});
-  loop.CancelTimer(id);
+  loop.ScheduleAfterMs(10'000, []() {});
+  loop.Unregister(12345);
   EXPECT_EQ(loop.pinning_violations(), 0u);
 }
 

@@ -17,7 +17,8 @@ that Clang Thread Safety Analysis cannot see:
                   the task still queued.
 
   loop-affinity   Per-loop LoopShard state in src/proto/frontend.cc (the
-                  `conns` map, `next_conn_id`, `relays`) may only be touched
+                  `conns` map, `next_conn_id`, `relays`, the `idle_conns`
+                  list and its `idle_sweep_armed` flag) may only be touched
                   by methods that first call EventLoop::AssertInLoopThread().
 
   blocking-call   No blocking syscalls (sleep variants, ::recv, ::connect)
@@ -59,10 +60,10 @@ RAW_MUTEX_RE = re.compile(
     r"lock_guard|unique_lock|shared_lock|scoped_lock|condition_variable)\b"
 )
 
-# liveness-guard: a Post(...) / ScheduleAfterMs(...) whose callback captures
+# liveness-guard: a Post(...) / ScheduleAfterMs|Us(...) whose callback captures
 # `this`. The capture may start a few tokens after the call opens (timer
 # delay argument, line breaks), so the scan window is the flattened statement.
-POST_CALL_RE = re.compile(r"\b(?:Post|ScheduleAfterMs)\s*\(")
+POST_CALL_RE = re.compile(r"\b(?:Post|ScheduleAfter(?:Ms|Us))\s*\(")
 THIS_CAPTURE_RE = re.compile(r"\[\s*(?:this\b|[^]\n]*[,\s]this\b)")
 GUARD_RE = re.compile(r"\bGuard\s*\(")
 
@@ -75,7 +76,8 @@ BLOCKING_RE = re.compile(
 # loop-affinity: mutable LoopShard fields (frontend.h) — touching any of
 # these pins the enclosing method to the shard's loop thread.
 SHARD_STATE_RE = re.compile(
-    r"(?:shard|shard_|loop_shard)\s*(?:->|\.)\s*(?:conns\b|next_conn_id\b|relays\b)"
+    r"(?:shard|shard_|loop_shard)\s*(?:->|\.)\s*"
+    r"(?:conns\b|next_conn_id\b|relays\b|idle_conns\b|idle_sweep_armed\b)"
 )
 ASSERT_RE = re.compile(r"\bAssertInLoopThread\s*\(")
 FUNC_DEF_RE = re.compile(r"^[\w:<>,*&~\s]*\bFrontEnd::(\w+)\s*\(")

@@ -46,7 +46,7 @@ class RawMutexRule(unittest.TestCase):
 class LivenessGuardRule(unittest.TestCase):
     def test_flags_unguarded_this_capture(self):
         findings = [f for f in lint("liveness_bad.cc") if f.rule == "liveness-guard"]
-        self.assertEqual(len(findings), 2)  # Post and ScheduleAfterMs
+        self.assertEqual(len(findings), 3)  # Post, ScheduleAfterMs and ScheduleAfterUs
 
     def test_guarded_and_this_free_posts_pass(self):
         self.assertEqual(lint("liveness_guarded.cc"), [])
@@ -55,8 +55,9 @@ class LivenessGuardRule(unittest.TestCase):
 class LoopAffinityRule(unittest.TestCase):
     def test_flags_shard_touch_without_assert(self):
         findings = [f for f in lint("loop_affinity_bad.cc") if f.rule == "loop-affinity"]
-        self.assertEqual(len(findings), 1)
+        self.assertEqual(len(findings), 2)
         self.assertIn("BreakAffinity", findings[0].message)
+        self.assertIn("BreakIdleAffinity", findings[1].message)
 
     def test_assert_before_touch_passes(self):
         self.assertEqual(lint("loop_affinity_good.cc"), [])

@@ -6,6 +6,9 @@ struct Owner {
   void KickLater() {
     loop_->ScheduleAfterMs(10, [this]() { ++count_; });
   }
+  void KickSoon() {
+    loop_->ScheduleAfterUs(250, [this]() { ++count_; });
+  }
   EventLoop* loop_ = nullptr;
   int count_ = 0;
 };

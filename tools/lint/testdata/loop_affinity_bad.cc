@@ -3,3 +3,7 @@
 void FrontEnd::BreakAffinity(LoopShard* shard) {
   shard->conns.clear();
 }
+
+void FrontEnd::BreakIdleAffinity(LoopShard* shard) {
+  shard->idle_sweep_armed = false;
+}
