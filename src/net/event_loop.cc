@@ -190,7 +190,7 @@ void EventLoop::Run() {
   (void)::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
   running_.store(true);
   epoll_event events[64];
-  while (running_.load()) {
+  while (!stop_requested_.load()) {
     const timespec timeout = NextTimeout();
     const int n = ::epoll_pwait2(epoll_fd_.get(), events, 64, &timeout, nullptr);
     if (n < 0) {
@@ -225,11 +225,13 @@ void EventLoop::Run() {
       tick_us_->Observe(static_cast<double>(NowUs() - tick_start));
     }
   }
+  running_.store(false);
   // Final drain so no posted task is silently dropped at shutdown.
   DrainTasks();
 }
 
 void EventLoop::Stop() {
+  stop_requested_.store(true);
   running_.store(false);
   Wakeup();
 }

@@ -121,6 +121,9 @@ class EventLoop {
   UniqueFd epoll_fd_;
   UniqueFd wakeup_fd_;  // eventfd
   std::atomic<bool> running_{false};
+  // Set by Stop(), never cleared: a Stop() that lands before the loop
+  // thread reaches Run() must still end it.
+  std::atomic<bool> stop_requested_{false};
   std::atomic<std::thread::id> loop_thread_{};
 
   // fd -> callback; shared_ptr so a handler staying alive through dispatch is

@@ -93,6 +93,18 @@ TEST(SocketTest, UnixPairIsConnected) {
   EXPECT_EQ(c, 'x');
 }
 
+TEST(EventLoopTest, StopBeforeRunStillEndsTheLoop) {
+  // A loop thread can start late: a Stop() issued first must not be lost
+  // when Run() begins, or the joining owner waits forever.
+  EventLoop loop;
+  bool ran = false;
+  loop.Post([&ran]() { ran = true; });
+  loop.Stop();
+  std::thread thread([&loop]() { loop.Run(); });
+  thread.join();
+  EXPECT_TRUE(ran);  // the final drain still runs posted tasks
+}
+
 TEST_F(LoopFixture, PostRunsOnLoopThread) {
   std::promise<bool> in_loop;
   loop_.Post([&]() { in_loop.set_value(loop_.IsInLoopThread()); });
