@@ -439,8 +439,8 @@ int Main(int argc, char** argv) {
   sweep_table.Print("Idle-connection sustain sweep (one FE process)", csv);
 
   // --- Phase 2: idle reap at a runtime-set deadline. ---
-  const uint64_t idle_closes_before =
-      cluster.frontend(0).counters().idle_closes.load(std::memory_order_relaxed);
+  const MetricCounter* idle_closes = cluster.metrics()->Counter("lard_fe_idle_closes_total");
+  const uint64_t idle_closes_before = idle_closes->value();
   bool reap_ok = AdminPost(cluster.admin_port(), "/idletimeout",
                            "idle_timeout_ms=" + std::to_string(reap_timeout_ms));
   if (!reap_ok) {
@@ -457,10 +457,7 @@ int Main(int argc, char** argv) {
   // peak gauge reading. Lateness is measured against the LAST conn's
   // deadline, so a slow connect phase makes it conservative (negative).
   auto reap_done = [&]() {
-    return cluster.frontend(0).counters().idle_closes.load(std::memory_order_relaxed) -
-                   idle_closes_before >=
-               reap_n &&
-           OpenConns(cluster) == 0;
+    return idle_closes->value() - idle_closes_before >= reap_n && OpenConns(cluster) == 0;
   };
   const int64_t reap_deadline = NowMs() + reap_timeout_ms + 30000;
   while (!reap_done() && NowMs() < reap_deadline) {
@@ -470,9 +467,7 @@ int Main(int argc, char** argv) {
   const bool reap_drained = reap_batch.failures == 0 && reap_done();
   const double reap_lateness_ms =
       reap_drained ? static_cast<double>(NowMs() - reap_connect_end_ms - reap_timeout_ms) : -1.0;
-  const uint64_t reap_closes =
-      cluster.frontend(0).counters().idle_closes.load(std::memory_order_relaxed) -
-      idle_closes_before;
+  const uint64_t reap_closes = idle_closes->value() - idle_closes_before;
   CloseAll(&reap_batch.fds);
   if (!reap_drained || reap_closes != reap_n) {
     std::fprintf(stderr,

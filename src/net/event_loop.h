@@ -70,6 +70,10 @@ class EventLoop {
   // instruments then cost two clock reads per callback and nothing when
   // profiling was never enabled.
   void EnableProfiling(MetricsRegistry* metrics, const std::string& label);
+  // The profiling instruments telemetry samples (null until EnableProfiling;
+  // thread-safe to read after it).
+  const MetricHistogram* wakeup_delay_us() const { return wakeup_delay_us_; }
+  const MetricGauge* pending_tasks() const { return pending_tasks_; }
 
   // Runs until Stop(). Must be called from exactly one thread, which becomes
   // the loop thread.

@@ -100,10 +100,7 @@ ProcessStats ReadProcessStats() {
   return stats;
 }
 
-void UpdateProcessMetrics(MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    return;
-  }
+ProcessStats UpdateProcessMetrics(MetricsRegistry* registry) {
   const std::string build_info = std::string("lard_build_info{version=\"") + LARD_VERSION +
                                  "\",compiler=\"" + BuildCompiler() + "\",sanitizer=\"" +
                                  BuildSanitizer() + "\"}";
@@ -112,6 +109,7 @@ void UpdateProcessMetrics(MetricsRegistry* registry) {
   registry->Gauge("lard_process_uptime_seconds")->Set(stats.uptime_seconds);
   registry->Gauge("lard_process_rss_bytes")->Set(stats.rss_bytes);
   registry->Gauge("lard_process_open_fds")->Set(stats.open_fds);
+  return stats;
 }
 
 }  // namespace lard

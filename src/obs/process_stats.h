@@ -20,8 +20,8 @@ ProcessStats ReadProcessStats();
 // plus lard_process_uptime_seconds / lard_process_rss_bytes /
 // lard_process_open_fds, and refreshes the latter three from ReadProcessStats.
 // Idempotent; call again (e.g. from a /metrics pre-render hook or a telemetry
-// tick) to refresh.
-void UpdateProcessMetrics(MetricsRegistry* registry);
+// tick) to refresh. Returns the stats it read.
+ProcessStats UpdateProcessMetrics(MetricsRegistry* registry);
 
 // "clang 17.0.6" / "gcc 13.2.0" — the toolchain that built this binary.
 const char* BuildCompiler();

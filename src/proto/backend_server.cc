@@ -23,6 +23,27 @@ BackendServer::BackendServer(const BackendConfig& config, EventLoop* loop,
   LARD_CHECK(loop_ != nullptr);
   LARD_CHECK(store_ != nullptr);
   LARD_CHECK(config_.node_id >= 0 && config_.node_id < config_.num_nodes);
+  LARD_CHECK(config_.metrics != nullptr);
+  const auto counter = [this](const char* name) {
+    return config_.metrics->Counter(MetricsRegistry::WithNode(name, config_.node_id));
+  };
+  adopted_ = counter("lard_backend_connections_adopted_total");
+  replays_adopted_ = counter("lard_backend_replays_adopted_total");
+  spliced_ = counter("lard_backend_spliced_responses_total");
+  handbacks_ = counter("lard_backend_handbacks_total");
+  drain_handbacks_ = counter("lard_backend_drain_handbacks_total");
+  requests_ = counter("lard_backend_requests_total");
+  hits_ = counter("lard_backend_cache_hits_total");
+  misses_ = counter("lard_backend_cache_misses_total");
+  lateral_out_ = counter("lard_backend_lateral_out_total");
+  lateral_in_ = counter("lard_backend_lateral_in_total");
+  bytes_to_clients_ = counter("lard_backend_bytes_to_clients_total");
+  not_found_ = counter("lard_backend_not_found_total");
+  idle_closes_ = counter("lard_backend_idle_closes_total");
+  heartbeats_ = counter("lard_backend_heartbeats_total");
+  open_conns_ = config_.metrics->Gauge(
+      MetricsRegistry::WithNode("lard_backend_open_connections", config_.node_id));
+  loop_->EnableProfiling(config_.metrics, "be" + std::to_string(config_.node_id));
   tracer_ = config_.tracer;
   if (tracer_ != nullptr) {
     trace_ring_ = tracer_->Ring("be" + std::to_string(config_.node_id));
@@ -45,41 +66,27 @@ int64_t BackendServer::NowMs() const {
 void BackendServer::Start(UniqueFd control_fd) {
   disk_ = std::make_unique<DiskGate>(loop_, config_.disk_costs, config_.disk_time_scale);
 
-  if (config_.metrics != nullptr) {
-    const NodeId id = config_.node_id;
-    metric_requests_ =
-        config_.metrics->Counter(MetricsRegistry::WithNode("lard_backend_requests_total", id));
-    metric_hits_ =
-        config_.metrics->Counter(MetricsRegistry::WithNode("lard_backend_cache_hits_total", id));
-    metric_misses_ =
-        config_.metrics->Counter(MetricsRegistry::WithNode("lard_backend_cache_misses_total", id));
-    metric_lateral_ =
-        config_.metrics->Counter(MetricsRegistry::WithNode("lard_backend_lateral_out_total", id));
-    metric_heartbeats_ =
-        config_.metrics->Counter(MetricsRegistry::WithNode("lard_backend_heartbeats_total", id));
-    metric_open_conns_ =
-        config_.metrics->Gauge(MetricsRegistry::WithNode("lard_backend_open_connections", id));
-    metric_idle_closes_ =
-        config_.metrics->Counter(MetricsRegistry::WithNode("lard_backend_idle_closes_total", id));
-  }
-
   if (config_.telemetry_interval_ms > 0) {
-    // The per-request latency histogram is gated on telemetry (not on the
-    // shared registry alone) so a telemetry-off cluster pays nothing for it.
-    if (config_.metrics != nullptr) {
-      metric_request_us_ = config_.metrics->Histogram(
-          MetricsRegistry::WithNode("lard_backend_request_us", config_.node_id));
-    }
+    // The per-request latency histogram is gated on telemetry so a
+    // telemetry-off cluster pays nothing for it.
+    request_us_ = config_.metrics->Histogram(
+        MetricsRegistry::WithNode("lard_backend_request_us", config_.node_id));
     TimeSeriesConfig series_config;
     series_config.interval_ms = static_cast<int>(config_.telemetry_interval_ms);
     telemetry_ = std::make_unique<TimeSeriesStore>(series_config);
     // Series order here is the wire order of every kTelemetry row.
-    telemetry_names_ = {"request_rate", "hit_ratio", "latency_p50_us", "latency_p95_us",
-                        "latency_p99_us", "disk_queue", "open_conns", "lateral_rate",
-                        "wakeup_p99_us"};
-    for (const std::string& name : telemetry_names_) {
-      telemetry_->AddSeries(name);
-    }
+    telemetry_rows_.AddRate("request_rate", requests_);
+    telemetry_rows_.AddDerived("hit_ratio");
+    telemetry_rows_.AddQuantile("latency_p50_us", SeriesKind::kP50, {request_us_});
+    telemetry_rows_.AddQuantile("latency_p95_us", SeriesKind::kP95, {request_us_});
+    telemetry_rows_.AddQuantile("latency_p99_us", SeriesKind::kP99, {request_us_});
+    telemetry_rows_.AddDerived("disk_queue");
+    telemetry_rows_.AddDerived("open_conns");
+    telemetry_rows_.AddRate("lateral_rate", lateral_out_);
+    telemetry_rows_.AddQuantile("wakeup_p99_us", SeriesKind::kP99, {loop_->wakeup_delay_us()});
+    telemetry_rows_.AddRate("hits", hits_, /*series=*/false);
+    telemetry_rows_.AddRate("misses", misses_, /*series=*/false);
+    telemetry_rows_.Register(telemetry_.get());
     loop_->ScheduleAfterMs(config_.telemetry_interval_ms,
                            alive_.Guard([this]() { TelemetryTick(); }));
   }
@@ -182,9 +189,7 @@ void BackendServer::Housekeeping() {
     }
   }
   SweepIdleConnections();
-  if (metric_open_conns_ != nullptr) {
-    metric_open_conns_->Set(static_cast<double>(conns_.size()));
-  }
+  open_conns_->Set(static_cast<double>(conns_.size()));
   loop_->ScheduleAfterMs(kHousekeepingPeriodMs, alive_.Guard([this]() { Housekeeping(); }));
 }
 
@@ -208,61 +213,30 @@ void BackendServer::MaybeSendHeartbeat() {
       channel->Send(static_cast<uint8_t>(ControlMsg::kHeartbeat), EncodeHeartbeat(heartbeat));
     }
   }
-  if (metric_heartbeats_ != nullptr) {
-    metric_heartbeats_->Increment();
-  }
+  heartbeats_->Increment();
 }
 
 void BackendServer::TelemetryTick() {
   const int64_t now = NowMs();
-  const double dt_seconds = telemetry_last_ms_ == 0
-                                ? static_cast<double>(config_.telemetry_interval_ms) / 1000.0
-                                : static_cast<double>(now - telemetry_last_ms_) / 1000.0;
-  telemetry_last_ms_ = now;
-
-  telemetry_scratch_.clear();
-  const double request_rate =
-      rate_requests_.Sample(counters_.requests_served.load(std::memory_order_relaxed), dt_seconds);
-  telemetry_scratch_.emplace_back(0, request_rate);
-  const double hit_rate =
-      rate_hits_.Sample(counters_.local_hits.load(std::memory_order_relaxed), dt_seconds);
-  const double miss_rate =
-      rate_misses_.Sample(counters_.local_misses.load(std::memory_order_relaxed), dt_seconds);
+  telemetry_rows_.Sample(now, config_.telemetry_interval_ms);
+  const double hit_rate = telemetry_rows_.value("hits");
+  const double miss_rate = telemetry_rows_.value("misses");
   if (hit_rate + miss_rate > 0.0) {
-    telemetry_scratch_.emplace_back(1, hit_rate / (hit_rate + miss_rate));
+    telemetry_rows_.Set("hit_ratio", hit_rate / (hit_rate + miss_rate));
   }
-  if (metric_request_us_ != nullptr) {
-    const HistogramWindowSampler::Window window = latency_window_.Sample(*metric_request_us_);
-    if (window.count > 0) {
-      telemetry_scratch_.emplace_back(2, window.p50);
-      telemetry_scratch_.emplace_back(3, window.p95);
-      telemetry_scratch_.emplace_back(4, window.p99);
-    }
-  }
-  telemetry_scratch_.emplace_back(5, static_cast<double>(disk_->queue_length()));
-  telemetry_scratch_.emplace_back(6, static_cast<double>(conns_.size()));
-  telemetry_scratch_.emplace_back(
-      7, rate_lateral_.Sample(counters_.lateral_out.load(std::memory_order_relaxed), dt_seconds));
-  if (config_.metrics != nullptr) {
-    // The loop publishes its health histograms when profiling is on; the
-    // find-or-create lookup is harmless (empty window -> no sample) when not.
-    MetricHistogram* wakeup = config_.metrics->Histogram(
-        "lard_loop_wakeup_delay_us{loop=\"be" + std::to_string(config_.node_id) + "\"}");
-    const HistogramWindowSampler::Window window = wakeup_window_.Sample(*wakeup);
-    if (window.count > 0) {
-      telemetry_scratch_.emplace_back(8, window.p99);
-    }
-  }
-  telemetry_->Append(now, telemetry_scratch_);
+  telemetry_rows_.Set("disk_queue", static_cast<double>(disk_->queue_length()));
+  telemetry_rows_.Set("open_conns", static_cast<double>(conns_.size()));
+  const std::vector<std::pair<int, double>>& values = telemetry_rows_.Values();
+  telemetry_->Append(now, values);
 
   // Ship the row to every attached front-end: absolute state, so a dropped
   // frame only leaves the mirror stale until the next tick.
   TelemetryMsg msg;
   msg.seq = ++telemetry_seq_;
   msg.t_ms = now;
-  msg.samples.reserve(telemetry_scratch_.size());
-  for (const auto& [idx, value] : telemetry_scratch_) {
-    msg.samples.push_back(TelemetrySample{telemetry_names_[static_cast<size_t>(idx)], value});
+  msg.samples.reserve(values.size());
+  for (const auto& [series, value] : values) {
+    msg.samples.push_back(TelemetrySample{telemetry_rows_.series_name(series), value});
   }
   const std::string payload = EncodeTelemetry(msg);
   for (size_t fe = 0; fe < controls_.size(); ++fe) {
@@ -423,13 +397,13 @@ BackendServer::ClientConn* BackendServer::AdoptCommon(int fe, ConnId conn_id, bo
   // latency histogram must see every request, not just sampled ones.
   raw->timed = raw->traced ||
                (tracer_ != nullptr && tracer_->enabled() && tracer_->slow_threshold_us() > 0) ||
-               metric_request_us_ != nullptr;
+               request_us_ != nullptr;
   if (raw->traced) {
     RecordSpan(tracer_, trace_ring_, conn_id, raw->trace_seq++, SpanKind::kAdopt,
                config_.node_id, TraceNowUs(), 0, "fe=%d dirs=%zu autonomous=%d", fe,
                raw->directives.size(), autonomous ? 1 : 0);
   }
-  counters_.connections_adopted.fetch_add(1, std::memory_order_relaxed);
+  adopted_->Increment();
   conns_.emplace(raw->id, std::move(conn));
 
   // Register with the loop first (no events can arrive until we return to
@@ -468,7 +442,7 @@ void BackendServer::AdoptReplay(int fe, ReplayMsg msg, UniqueFd fd) {
                config_.node_id, TraceNowUs(), 0, "origin=%d splice=%llu", msg.origin_node,
                static_cast<unsigned long long>(msg.splice_offset));
   }
-  counters_.replays_adopted.fetch_add(1, std::memory_order_relaxed);
+  replays_adopted_->Increment();
   LARD_LOG(INFO) << "backend " << config_.node_id << ": adopted crash-replay connection "
                  << msg.conn_id << " (" << raw->directives.size() << " requests, splice offset "
                  << msg.splice_offset << ")";
@@ -737,8 +711,7 @@ void BackendServer::DoHandback(ConnId conn_id) {
   Connection::Detached detached = conn->conn->Detach();
   channel->SendWithFd(static_cast<uint8_t>(ControlMsg::kHandback), EncodeHandback(msg),
                       std::move(detached.fd));
-  (migrate ? counters_.handbacks : counters_.drain_handbacks)
-      .fetch_add(1, std::memory_order_relaxed);
+  (migrate ? handbacks_ : drain_handbacks_)->Increment();
 
   // State is gone from this node; do NOT notify kConnClosed — the connection
   // lives on at the target. (Deferred: we may be inside a callback.)
@@ -751,24 +724,18 @@ void BackendServer::ServeLocal(ClientConn* conn, const HttpRequest& request,
                                const RequestDirective& directive) {
   const TargetId target = store_->Resolve(request.path);
   if (target == kInvalidTarget) {
-    counters_.not_found.fetch_add(1, std::memory_order_relaxed);
+    not_found_->Increment();
     WriteResponse(conn, request, 404, "not found\n");
     return;
   }
   const uint64_t size = store_->SizeOf(target);
   if (cache_.Touch(target)) {
-    counters_.local_hits.fetch_add(1, std::memory_order_relaxed);
-    if (metric_hits_ != nullptr) {
-      metric_hits_->Increment();
-    }
+    hits_->Increment();
     conn->serve_cache = 'h';
     WriteResponse(conn, request, 200, store_->BodyFor(target));
     return;
   }
-  counters_.local_misses.fetch_add(1, std::memory_order_relaxed);
-  if (metric_misses_ != nullptr) {
-    metric_misses_->Increment();
-  }
+  misses_->Increment();
   conn->serve_cache = 'm';
   const ConnId id = conn->id;
   const bool cache_after_miss = directive.cache_after_miss;
@@ -796,10 +763,7 @@ void BackendServer::ServeLocal(ClientConn* conn, const HttpRequest& request,
 
 void BackendServer::ServeLateral(ClientConn* conn, const HttpRequest& request, NodeId peer,
                                  const std::string& path) {
-  counters_.lateral_out.fetch_add(1, std::memory_order_relaxed);
-  if (metric_lateral_ != nullptr) {
-    metric_lateral_->Increment();
-  }
+  lateral_out_->Increment();
   LateralClient* client = peers_[static_cast<size_t>(peer)].get();
   LARD_CHECK(client != nullptr) << "no lateral client for node " << peer;
   const ConnId id = conn->id;
@@ -859,11 +823,8 @@ void BackendServer::WriteResponse(ClientConn* conn, const HttpRequest& request, 
     response.headers.Add("Connection", "close");
   }
   response.body = std::move(body);
-  counters_.requests_served.fetch_add(1, std::memory_order_relaxed);
-  if (metric_requests_ != nullptr) {
-    metric_requests_->Increment();
-  }
-  counters_.bytes_to_clients.fetch_add(response.body.size(), std::memory_order_relaxed);
+  requests_->Increment();
+  bytes_to_clients_->Increment(response.body.size());
   std::string serialized = response.Serialize();
   if (conn->splice_pending) {
     conn->splice_pending = false;
@@ -879,7 +840,7 @@ void BackendServer::WriteResponse(ClientConn* conn, const HttpRequest& request, 
     }
     if (conn->splice_remaining > 0) {
       serialized.erase(0, static_cast<size_t>(conn->splice_remaining));
-      counters_.spliced_responses.fetch_add(1, std::memory_order_relaxed);
+      spliced_->Increment();
     }
     conn->splice_remaining = 0;
   }
@@ -888,8 +849,8 @@ void BackendServer::WriteResponse(ClientConn* conn, const HttpRequest& request, 
   if (conn->timed && conn->serve_start_us > 0) {
     const int64_t now_us = TraceNowUs();
     const int64_t total_us = now_us - conn->serve_start_us;
-    if (metric_request_us_ != nullptr) {
-      metric_request_us_->Observe(static_cast<double>(total_us));
+    if (request_us_ != nullptr) {
+      request_us_->Observe(static_cast<double>(total_us));
     }
     if (conn->traced) {
       RecordSpan(tracer_, trace_ring_, conn->id, conn->trace_seq++, SpanKind::kServe,
@@ -1038,10 +999,7 @@ void BackendServer::SweepIdleConnections() {
       idle_conns_.Touch(conn, now);
       return;
     }
-    counters_.idle_closes.fetch_add(1, std::memory_order_relaxed);
-    if (metric_idle_closes_ != nullptr) {
-      metric_idle_closes_->Increment();
-    }
+    idle_closes_->Increment();
     // notify_frontend: the kConnClosed message is what lets the front-end
     // reap its half (dispatcher entry, journal, retained dup).
     CloseClient(conn, /*notify_frontend=*/true);
@@ -1110,7 +1068,7 @@ void BackendServer::ProcessNextLateral(uint64_t lateral_id) {
   const HttpRequest request = std::move(conn->pending.front());
   conn->pending.pop_front();
   conn->serving = true;
-  counters_.lateral_in.fetch_add(1, std::memory_order_relaxed);
+  lateral_in_->Increment();
 
   auto respond = [this, lateral_id](int status, std::string body) {
     auto it = lateral_conns_.find(lateral_id);
@@ -1136,17 +1094,11 @@ void BackendServer::ProcessNextLateral(uint64_t lateral_id) {
     return;
   }
   if (cache_.Touch(target)) {
-    counters_.local_hits.fetch_add(1, std::memory_order_relaxed);
-    if (metric_hits_ != nullptr) {
-      metric_hits_->Increment();
-    }
+    hits_->Increment();
     respond(200, store_->BodyFor(target));
     return;
   }
-  counters_.local_misses.fetch_add(1, std::memory_order_relaxed);
-  if (metric_misses_ != nullptr) {
-    metric_misses_->Increment();
-  }
+  misses_->Increment();
   disk_->Read(store_->SizeOf(target), [this, target, respond]() {
     // This node is the caching node for laterally requested targets: misses
     // populate the cache.

@@ -18,8 +18,8 @@
 // fetching node's cache — preserving the paper's "NFS client caching
 // disabled" semantics so LARD alone controls replication.
 //
-// Threading: everything runs on the node's EventLoop thread; stats counters
-// are atomics readable from outside.
+// Threading: everything runs on the node's EventLoop thread; its counts live
+// in the shared MetricsRegistry, readable from any thread.
 #ifndef SRC_PROTO_BACKEND_SERVER_H_
 #define SRC_PROTO_BACKEND_SERVER_H_
 
@@ -67,8 +67,9 @@ struct BackendConfig {
   // keeps accepting silently until its process dies, and an unbounded wait
   // would wedge the client connection being served. <= 0 disables.
   int64_t lateral_timeout_ms = 2000;
-  // Optional shared registry; per-node counters are published under
-  // lard_backend_*{node="k"}. Must be thread-safe (MetricsRegistry is).
+  // Required: the registry holding this node's counters
+  // (lard_backend_*{node="k"}) and its loop's health. It is the only store of
+  // each count; telemetry and Cluster::Snapshot read it.
   MetricsRegistry* metrics = nullptr;
   // Telemetry sampling period: each tick appends one row of windowed values
   // (request rate, hit ratio, latency quantiles, disk queue, loop health) to
@@ -82,26 +83,11 @@ struct BackendConfig {
   Tracer* tracer = nullptr;
 };
 
-struct BackendCounters {
-  std::atomic<uint64_t> connections_adopted{0};
-  std::atomic<uint64_t> replays_adopted{0};  // crash-replay connections (kReplay)
-  std::atomic<uint64_t> spliced_responses{0};  // responses emitted with a trimmed prefix
-  std::atomic<uint64_t> handbacks{0};  // connections migrated away (multiple handoff)
-  std::atomic<uint64_t> drain_handbacks{0};  // connections given back while draining
-  std::atomic<uint64_t> requests_served{0};     // responses written to clients
-  std::atomic<uint64_t> local_hits{0};
-  std::atomic<uint64_t> local_misses{0};
-  std::atomic<uint64_t> lateral_out{0};         // fetched from a peer
-  std::atomic<uint64_t> lateral_in{0};          // served on behalf of a peer
-  std::atomic<uint64_t> bytes_to_clients{0};
-  std::atomic<uint64_t> not_found{0};
-  std::atomic<uint64_t> idle_closes{0};  // adopted conns reaped by the idle sweep
-};
-
 class BackendServer {
  public:
   // `loop` and `store` must outlive the server. The server is constructed on
-  // the owner's thread but must be *started* on the loop thread.
+  // the owner's thread, before the loop runs (it enables the loop's
+  // profiling), but must be *started* on the loop thread.
   BackendServer(const BackendConfig& config, EventLoop* loop, const ContentStore* store);
   ~BackendServer();
 
@@ -133,7 +119,6 @@ class BackendServer {
   void AddPeer(NodeId node, uint16_t port);
 
   uint16_t lateral_port() const { return lateral_port_; }
-  const BackendCounters& counters() const { return counters_; }
   int disk_queue_length() const { return disk_ == nullptr ? 0 : disk_->queue_length(); }
   bool draining() const { return draining_; }
   // This node's telemetry time series (null when telemetry is disabled).
@@ -306,37 +291,36 @@ class BackendServer {
   std::unordered_map<uint64_t, std::unique_ptr<LateralConn>> lateral_conns_;
   uint64_t next_lateral_id_ = 1;
 
-  BackendCounters counters_;
-
   Tracer* tracer_ = nullptr;
   TraceRing* trace_ring_ = nullptr;
 
-  // Shared-registry instruments (null when config.metrics is null).
-  MetricCounter* metric_requests_ = nullptr;
-  MetricCounter* metric_hits_ = nullptr;
-  MetricCounter* metric_misses_ = nullptr;
-  MetricCounter* metric_lateral_ = nullptr;
-  MetricCounter* metric_heartbeats_ = nullptr;
-  MetricGauge* metric_open_conns_ = nullptr;
-  MetricCounter* metric_idle_closes_ = nullptr;
+  // This node's registry instruments, cached at construction: the only
+  // store of each count.
+  MetricCounter* adopted_ = nullptr;
+  MetricCounter* replays_adopted_ = nullptr;  // crash-replay connections (kReplay)
+  MetricCounter* spliced_ = nullptr;          // responses emitted with a trimmed prefix
+  MetricCounter* handbacks_ = nullptr;        // connections migrated away (multiple handoff)
+  MetricCounter* drain_handbacks_ = nullptr;  // connections given back while draining
+  MetricCounter* requests_ = nullptr;         // responses written to clients
+  MetricCounter* hits_ = nullptr;
+  MetricCounter* misses_ = nullptr;
+  MetricCounter* lateral_out_ = nullptr;      // fetched from a peer
+  MetricCounter* lateral_in_ = nullptr;       // served on behalf of a peer
+  MetricCounter* bytes_to_clients_ = nullptr;
+  MetricCounter* not_found_ = nullptr;
+  MetricCounter* idle_closes_ = nullptr;      // adopted conns reaped by the idle sweep
+  MetricCounter* heartbeats_ = nullptr;
+  MetricGauge* open_conns_ = nullptr;
   uint64_t heartbeat_seq_ = 0;
   int64_t last_heartbeat_ms_ = 0;
 
   // Telemetry (telemetry_interval_ms > 0): the node's series store, the
-  // window samplers feeding it, and the shipping state. All loop-confined
-  // except telemetry_ itself (internally synchronized for admin reads).
+  // rows feeding it, and the shipping state. All loop-confined except
+  // telemetry_ itself (internally synchronized for admin reads).
   std::unique_ptr<TimeSeriesStore> telemetry_;
-  MetricHistogram* metric_request_us_ = nullptr;  // always-on request latency
-  std::vector<std::string> telemetry_names_;      // series index -> name
-  std::vector<std::pair<int, double>> telemetry_scratch_;
-  CounterRateSampler rate_requests_;
-  CounterRateSampler rate_hits_;
-  CounterRateSampler rate_misses_;
-  CounterRateSampler rate_lateral_;
-  HistogramWindowSampler latency_window_;
-  HistogramWindowSampler wakeup_window_;
+  MetricHistogram* request_us_ = nullptr;  // per-request latency, telemetry on only
+  TelemetryTable telemetry_rows_;
   uint64_t telemetry_seq_ = 0;
-  int64_t telemetry_last_ms_ = 0;
 };
 
 }  // namespace lard

@@ -257,11 +257,8 @@ Status Cluster::StartBackend(NodeId node_id, std::vector<UniqueFd>* fe_ends) {
   backend_config.telemetry_interval_ms = config_.telemetry_interval_ms;
   backend_config.metrics = &metrics_;
   backend_config.tracer = tracer_.get();
+  // Precedes Run(): the server enables the loop's profiling.
   node->server = std::make_unique<BackendServer>(backend_config, node->loop.get(), &store_);
-  if (config_.profile_loops) {
-    // Must precede Run(): the loop thread starts just below.
-    node->loop->EnableProfiling(&metrics_, "be" + std::to_string(node_id));
-  }
   node->thread = std::thread([loop = node->loop.get()]() { loop->Run(); });
   Node* raw = node.get();
   LARD_CHECK(static_cast<size_t>(node_id) == nodes_.size());
@@ -348,11 +345,6 @@ Status Cluster::Start() {
     // deferred past a graceful retire), not the admin call — and waits for
     // every replica to let go.
     replica->frontend->set_on_node_removed([this](NodeId node) { OnNodeRemoved(node); });
-    if (config_.profile_loops) {
-      // Per-loop twins: "fe<k>" for loop 0 (historic label), "fe<k>.<n>"
-      // for the extra reactors. Must precede Start(): threads spawn below.
-      replica->loops->EnableProfiling(&metrics_, "fe" + std::to_string(fe));
-    }
     replica->loops->Start();
     fes_.push_back(std::move(replica));
   }
@@ -921,9 +913,6 @@ int Cluster::AddFrontEnd() {
       replica->frontend =
           std::make_unique<FrontEnd>(fe_config, replica->loops.get(), &store_.catalog());
       replica->frontend->set_on_node_removed([this](NodeId node) { OnNodeRemoved(node); });
-      if (config_.profile_loops) {
-        replica->loops->EnableProfiling(&metrics_, "fe" + std::to_string(id));
-      }
       replica->loops->Start();
       raw = replica.get();
       fes_.push_back(std::move(replica));
@@ -1151,44 +1140,52 @@ uint16_t Cluster::admin_port() const {
 ClusterSnapshot Cluster::Snapshot() const {
   ClusterSnapshot snapshot;
   MutexLock lock(&nodes_mutex_);
-  for (const auto& node : nodes_) {
-    if (node->server == nullptr) {
+  for (size_t node = 0; node < nodes_.size(); ++node) {
+    if (nodes_[node]->server == nullptr) {
       snapshot.requests_per_node.push_back(0);
-      continue;
+      continue;  // removed: its counts leave the snapshot
     }
-    const BackendCounters& counters = node->server->counters();
-    const uint64_t requests = counters.requests_served.load(std::memory_order_relaxed);
+    const auto count = [&](const char* name) {
+      return metrics_.CounterValue(MetricsRegistry::WithNode(name, static_cast<NodeId>(node)));
+    };
+    const uint64_t requests = count("lard_backend_requests_total");
     snapshot.requests_served += requests;
     snapshot.requests_per_node.push_back(requests);
-    snapshot.local_hits += counters.local_hits.load(std::memory_order_relaxed);
-    snapshot.local_misses += counters.local_misses.load(std::memory_order_relaxed);
-    snapshot.lateral_out += counters.lateral_out.load(std::memory_order_relaxed);
-    snapshot.bytes_to_clients += counters.bytes_to_clients.load(std::memory_order_relaxed);
-    snapshot.not_found += counters.not_found.load(std::memory_order_relaxed);
-    snapshot.migrations += counters.handbacks.load(std::memory_order_relaxed);
-    snapshot.drain_handbacks += counters.drain_handbacks.load(std::memory_order_relaxed);
-    snapshot.replays_adopted += counters.replays_adopted.load(std::memory_order_relaxed);
-    snapshot.spliced_responses += counters.spliced_responses.load(std::memory_order_relaxed);
+    snapshot.local_hits += count("lard_backend_cache_hits_total");
+    snapshot.local_misses += count("lard_backend_cache_misses_total");
+    snapshot.lateral_out += count("lard_backend_lateral_out_total");
+    snapshot.bytes_to_clients += count("lard_backend_bytes_to_clients_total");
+    snapshot.not_found += count("lard_backend_not_found_total");
+    snapshot.migrations += count("lard_backend_handbacks_total");
+    snapshot.drain_handbacks += count("lard_backend_drain_handbacks_total");
+    snapshot.replays_adopted += count("lard_backend_replays_adopted_total");
+    snapshot.spliced_responses += count("lard_backend_spliced_responses_total");
   }
-  for (size_t fe = 0; fe < fes_.size(); ++fe) {
-    if (Fe(fe) == nullptr) {
-      continue;  // removed replica
+  // Every replica adds to a front-end count's unlabelled tier total, and a
+  // replica of a replicated tier to its {fe="k"} counter as well: the live
+  // replicas' sum is the total less what the removed replicas counted.
+  const auto fe_count = [&](const char* name) {
+    uint64_t total = metrics_.CounterValue(name);
+    for (size_t fe = 0; fe < fes_.size(); ++fe) {
+      if (Fe(fe) == nullptr) {
+        total -= metrics_.CounterValue(MetricsRegistry::WithFe(name, static_cast<int32_t>(fe)));
+      }
     }
-    const FrontEndCounters& counters = Fe(fe)->counters();
-    snapshot.connections += counters.connections_accepted.load();
-    snapshot.consults += counters.consults.load();
-    snapshot.handoffs += counters.handoffs.load();
-    snapshot.rehandoffs += counters.rehandoffs.load();
-    snapshot.replays += counters.replays.load();
-    snapshot.replay_giveups += counters.replay_giveups.load();
-    snapshot.heartbeats += counters.heartbeats.load();
-    snapshot.auto_removals += counters.auto_removals.load();
-    if (config_.mechanism == Mechanism::kRelayingFrontEnd) {
-      // Relay mode serves clients from the front-ends; back-end
-      // requests_served counters stay zero (their lateral path served the
-      // fetches).
-      snapshot.requests_served += counters.relayed_requests.load();
-    }
+    return total;
+  };
+  snapshot.connections = fe_count("lard_fe_connections_total");
+  snapshot.consults = fe_count("lard_fe_consults_total");
+  snapshot.handoffs = fe_count("lard_fe_handoffs_total");
+  snapshot.rehandoffs = fe_count("lard_fe_rehandoffs_total");
+  snapshot.replays = fe_count("lard_fe_replays_total");
+  snapshot.replay_giveups = fe_count("lard_fe_replay_giveups_total");
+  snapshot.heartbeats = fe_count("lard_fe_heartbeats_total");
+  snapshot.auto_removals = fe_count("lard_cluster_auto_removals_total");
+  if (config_.mechanism == Mechanism::kRelayingFrontEnd) {
+    // Relay mode serves clients from the front-ends; back-end
+    // requests_served counters stay zero (their lateral path served the
+    // fetches).
+    snapshot.requests_served += fe_count("lard_fe_relayed_requests_total");
   }
   const uint64_t lookups = snapshot.local_hits + snapshot.local_misses;
   snapshot.cache_hit_rate =

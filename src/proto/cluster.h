@@ -99,9 +99,6 @@ struct ClusterConfig {
   size_t trace_ring_capacity = 2048;
   // Requests slower than this are logged with their span tree (0 disables).
   int64_t slow_request_threshold_us = 0;
-  // Publish event-loop health (lard_loop_*{loop="fe0"/"be1"/...} histograms:
-  // tick duration, callback runtime, wakeup-to-run latency, queue depth).
-  bool profile_loops = true;
   // Telemetry pipeline (src/obs/): every component samples rates, window
   // quantiles and gauges into a fixed-size TimeSeriesStore at this period;
   // back-ends ship each tick to the front-ends (kTelemetry), and the FE SLO
@@ -113,7 +110,8 @@ struct ClusterConfig {
   std::vector<SloRule> slo_rules;
 };
 
-// Snapshot of the whole cluster's counters.
+// Snapshot of the whole cluster's counters, summed from the registry over the
+// front-end replicas and back-ends still present.
 struct ClusterSnapshot {
   uint64_t requests_served = 0;
   uint64_t local_hits = 0;

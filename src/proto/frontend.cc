@@ -23,34 +23,6 @@ namespace {
 constexpr char kUnavailableReply[] =
     "HTTP/1.0 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n";
 
-// Fixed indices into the front-end's TimeSeriesStore; kFeSeriesNames order is
-// the AddSeries order in the constructor, which fixes the Append indices.
-enum FeSeries : int {
-  kSConnRate = 0,
-  kSHandoffRate,
-  kSConsultRate,
-  kSReplayRate,
-  kSGiveupRate,
-  kSRejectRate,
-  kSOpenConns,
-  kSActiveNodes,
-  kSLoadSkew,
-  kSWakeupP99Us,
-  kSPendingTasks,
-  kSRssBytes,
-  kSOpenFds,
-  kSIdleCloseRate,
-  kSConnsFeOwned,
-  kSConnsHandedOff,
-};
-
-constexpr const char* kFeSeriesNames[] = {
-    "conn_rate",  "handoff_rate", "consult_rate",  "replay_rate",
-    "giveup_rate", "reject_rate",  "open_conns",    "active_nodes",
-    "load_skew",  "wakeup_p99_us", "pending_tasks", "rss_bytes",
-    "open_fds",   "idle_close_rate", "conns_fe_owned", "conns_handed_off",
-};
-
 // Built-in watchdog rules (FrontEndConfig::slo_rules empty). Ceilings are
 // prototype-scale: they catch order-of-magnitude regressions (a saturated
 // back-end, a stalled loop, a replay storm), not production SLOs.
@@ -113,6 +85,7 @@ FrontEnd::FrontEnd(const FrontEndConfig& config, EventLoopGroup* loops,
     : config_(config), loops_(loops), loop_(nullptr), catalog_(catalog),
       journal_(config.replay_journal) {
   LARD_CHECK(loops_ != nullptr);
+  LARD_CHECK(config_.metrics != nullptr);
   idle_timeout_ms_.store(config_.idle_timeout_ms, std::memory_order_relaxed);
   loop_ = loops_->loop(0);
   LARD_CHECK(catalog_ != nullptr);
@@ -167,48 +140,64 @@ FrontEnd::FrontEnd(const FrontEndConfig& config, EventLoopGroup* loops,
   dispatch_config.remote_loads = mesh_.get();
   dispatcher_ = std::make_unique<Dispatcher>(dispatch_config, catalog_, disk_table_.get());
 
-  if (config_.metrics != nullptr) {
-    metric_active_nodes_ = config_.metrics->Gauge("lard_cluster_active_nodes");
-    metric_active_nodes_->Set(config_.num_nodes);
-    metric_auto_removals_ = config_.metrics->Counter("lard_cluster_auto_removals_total");
-    metric_heartbeats_ = config_.metrics->Counter("lard_fe_heartbeats_total");
-    metric_connections_ = config_.metrics->Counter("lard_fe_connections_total");
-    metric_rehandoffs_ = config_.metrics->Counter("lard_fe_rehandoffs_total");
-    metric_replays_ = config_.metrics->Counter("lard_fe_replays_total");
-    metric_replay_giveups_ = config_.metrics->Counter("lard_fe_replay_giveups_total");
-    metric_idle_closes_ = config_.metrics->Counter("lard_fe_idle_closes_total");
-    if (config_.num_frontends > 1) {
-      // The unlabelled instruments stay cluster totals (every replica
-      // increments them); the {fe="k"} twins attribute work to a replica.
-      const int fe = config_.fe_id;
-      metric_fe_connections_ = config_.metrics->Counter(
-          MetricsRegistry::WithFe("lard_fe_connections_total", fe));
-      metric_fe_handoffs_ =
-          config_.metrics->Counter(MetricsRegistry::WithFe("lard_fe_handoffs_total", fe));
-      metric_fe_rehandoffs_ =
-          config_.metrics->Counter(MetricsRegistry::WithFe("lard_fe_rehandoffs_total", fe));
-      metric_mesh_epoch_ =
-          config_.metrics->Gauge(MetricsRegistry::WithFe("lard_mesh_epoch", fe));
-      metric_mesh_lag_ms_ =
-          config_.metrics->Gauge(MetricsRegistry::WithFe("lard_mesh_gossip_lag_ms", fe));
-      metric_mesh_peers_ =
-          config_.metrics->Gauge(MetricsRegistry::WithFe("lard_mesh_peers", fe));
-      metric_mesh_divergence_ =
-          config_.metrics->Gauge(MetricsRegistry::WithFe("lard_mesh_divergence", fe));
-      metric_gossip_sent_ = config_.metrics->Counter(
-          MetricsRegistry::WithFe("lard_mesh_deltas_sent_total", fe));
-      metric_gossip_applied_ = config_.metrics->Counter(
-          MetricsRegistry::WithFe("lard_mesh_deltas_applied_total", fe));
-    }
+  connections_ = MakeEventCounter("lard_fe_connections_total");
+  handoffs_ = MakeEventCounter("lard_fe_handoffs_total");
+  consults_ = MakeEventCounter("lard_fe_consults_total");
+  relayed_requests_ = MakeEventCounter("lard_fe_relayed_requests_total");
+  migrations_ = MakeEventCounter("lard_fe_migrations_total");
+  rehandoffs_ = MakeEventCounter("lard_fe_rehandoffs_total");
+  replays_ = MakeEventCounter("lard_fe_replays_total");
+  replay_giveups_ = MakeEventCounter("lard_fe_replay_giveups_total");
+  heartbeats_ = MakeEventCounter("lard_fe_heartbeats_total");
+  auto_removals_ = MakeEventCounter("lard_cluster_auto_removals_total");
+  rejected_ = MakeEventCounter("lard_fe_rejected_no_backend_total");
+  idle_closes_ = MakeEventCounter("lard_fe_idle_closes_total");
+  active_nodes_gauge_ = config_.metrics->Gauge("lard_cluster_active_nodes");
+  active_nodes_gauge_->Set(config_.num_nodes);
+  if (MeshEnabled()) {
+    const auto labelled = [this](const char* name) {
+      return MetricsRegistry::WithFe(name, config_.fe_id);
+    };
+    mesh_epoch_ = config_.metrics->Gauge(labelled("lard_mesh_epoch"));
+    mesh_lag_ms_ = config_.metrics->Gauge(labelled("lard_mesh_gossip_lag_ms"));
+    mesh_peers_ = config_.metrics->Gauge(labelled("lard_mesh_peers"));
+    mesh_divergence_ = config_.metrics->Gauge(labelled("lard_mesh_divergence"));
+    deltas_sent_ = config_.metrics->Counter(labelled("lard_mesh_deltas_sent_total"));
+    deltas_applied_ = config_.metrics->Counter(labelled("lard_mesh_deltas_applied_total"));
   }
+  // Loop health (lard_loop_*{loop="fe<k>"}, "fe<k>.<n>" for shard n); the
+  // loops have not started yet.
+  loops_->EnableProfiling(config_.metrics, "fe" + std::to_string(config_.fe_id));
 
   if (config_.telemetry_interval_ms > 0) {
     TimeSeriesConfig ts;
     ts.interval_ms = static_cast<int>(config_.telemetry_interval_ms);
     telemetry_ = std::make_unique<TimeSeriesStore>(ts);
-    for (const char* name : kFeSeriesNames) {
-      telemetry_->AddSeries(name);  // AddSeries order == FeSeries indices
+    std::vector<const MetricHistogram*> wakeups;
+    std::vector<const MetricGauge*> pending;
+    for (int k = 0; k < loops_->size(); ++k) {
+      wakeups.push_back(loops_->loop(k)->wakeup_delay_us());
+      pending.push_back(loops_->loop(k)->pending_tasks());
     }
+    // Loop health covers every loop of this replica: the worst wakeup-delay
+    // p99 of the window and the summed task backlog.
+    telemetry_rows_.AddRate("conn_rate", connections_.own);
+    telemetry_rows_.AddRate("handoff_rate", handoffs_.own);
+    telemetry_rows_.AddRate("consult_rate", consults_.own);
+    telemetry_rows_.AddRate("replay_rate", replays_.own);
+    telemetry_rows_.AddRate("giveup_rate", replay_giveups_.own);
+    telemetry_rows_.AddRate("reject_rate", rejected_.own);
+    telemetry_rows_.AddDerived("open_conns");
+    telemetry_rows_.AddDerived("active_nodes");
+    telemetry_rows_.AddDerived("load_skew");
+    telemetry_rows_.AddQuantile("wakeup_p99_us", SeriesKind::kP99, std::move(wakeups));
+    telemetry_rows_.AddGauge("pending_tasks", std::move(pending));
+    telemetry_rows_.AddDerived("rss_bytes");
+    telemetry_rows_.AddDerived("open_fds");
+    telemetry_rows_.AddRate("idle_close_rate", idle_closes_.own);
+    telemetry_rows_.AddDerived("conns_fe_owned");
+    telemetry_rows_.AddDerived("conns_handed_off");
+    telemetry_rows_.Register(telemetry_.get());
     std::vector<SloRule> rules =
         config_.slo_rules.empty() ? DefaultSloRules() : config_.slo_rules;
     watchdog_ = std::make_unique<SloWatchdog>("fe" + std::to_string(config_.fe_id),
@@ -221,6 +210,14 @@ FrontEnd::~FrontEnd() {
   // adopts and handoff completions) drained after this point become no-ops
   // instead of touching freed state.
   alive_.Invalidate();
+}
+
+FrontEnd::EventCounter FrontEnd::MakeEventCounter(const char* name) const {
+  if (config_.num_frontends == 1) {
+    return {config_.metrics->Counter(name), nullptr};
+  }
+  return {config_.metrics->Counter(MetricsRegistry::WithFe(name, config_.fe_id)),
+          config_.metrics->Counter(name)};
 }
 
 int64_t FrontEnd::NowMs() const {
@@ -255,10 +252,8 @@ void FrontEnd::AttachControl(NodeId node, UniqueFd control_fd) {
   // a 1-replica tier; the hello is harmless and keeps one code path).
   link.control->Send(static_cast<uint8_t>(ControlMsg::kFeHello),
                      EncodeU32(static_cast<uint32_t>(config_.fe_id)));
-  if (config_.metrics != nullptr) {
-    link.handoff_counter =
-        config_.metrics->Counter(MetricsRegistry::WithNode("lard_fe_handoffs_total", node));
-  }
+  link.handoff_counter =
+      config_.metrics->Counter(MetricsRegistry::WithNode("lard_fe_handoffs_total", node));
 }
 
 void FrontEnd::Start(std::vector<UniqueFd> control_fds) {
@@ -390,16 +385,11 @@ void FrontEnd::OnPeerMessage(uint32_t peer, uint8_t type, std::string payload) {
   if (!mesh_->Apply(delta, NowMs() * 1000)) {
     return;  // stale or regressed; counters already advanced
   }
-  if (metric_gossip_applied_ != nullptr) {
-    metric_gossip_applied_->Increment();
-  }
+  deltas_applied_->Increment();
   // The non-load fields are the peer's membership/weight beliefs: surface
   // how far this replica and the sender disagree (persistently non-zero =
   // somebody missed control-plane news).
-  if (metric_mesh_divergence_ != nullptr) {
-    metric_mesh_divergence_->Set(
-        static_cast<double>(CountBeliefDivergence(delta, *dispatcher_)));
-  }
+  mesh_divergence_->Set(static_cast<double>(CountBeliefDivergence(delta, *dispatcher_)));
   for (const GossipVcacheHint& hint : delta.hints) {
     dispatcher_->NoteRemoteFetch(hint.node, hint.target);
   }
@@ -461,10 +451,7 @@ void FrontEnd::GossipTick() {
   for (FramedChannel* channel : channels) {
     if (channel != nullptr && channel->open()) {
       channel->Send(kGossipFrameType, encoded);
-      ++gossip_sent_;
-      if (metric_gossip_sent_ != nullptr) {
-        metric_gossip_sent_->Increment();
-      }
+      deltas_sent_->Increment();
     }
   }
   // Gossip rounds are component-scoped (no client connection), so they carry
@@ -484,7 +471,7 @@ void FrontEnd::UpdateMeshSnapshot() {
   std::ostringstream out;
   out << "{\"fe_id\":" << config_.fe_id << ",\"port\":" << port()
       << ",\"membership_epoch\":" << dispatcher_->membership_epoch()
-      << ",\"gossip_seq\":" << gossip_seq_ << ",\"deltas_sent\":" << gossip_sent_
+      << ",\"gossip_seq\":" << gossip_seq_ << ",\"deltas_sent\":" << deltas_sent_->value()
       << ",\"deltas_applied\":" << mesh_->deltas_applied()
       << ",\"stale_drops\":" << mesh_->stale_drops()
       << ",\"epoch_regressions\":" << mesh_->epoch_regressions()
@@ -502,11 +489,9 @@ void FrontEnd::UpdateMeshSnapshot() {
     MutexLock lock(&mesh_json_mutex_);
     mesh_json_ = out.str();
   }
-  if (metric_mesh_epoch_ != nullptr) {
-    metric_mesh_epoch_->Set(static_cast<double>(dispatcher_->membership_epoch()));
-    metric_mesh_lag_ms_->Set(static_cast<double>(mesh_->OldestPeerAgeUs(now_us)) / 1000.0);
-    metric_mesh_peers_->Set(static_cast<double>(mesh_->peer_count()));
-  }
+  mesh_epoch_->Set(static_cast<double>(dispatcher_->membership_epoch()));
+  mesh_lag_ms_->Set(static_cast<double>(mesh_->OldestPeerAgeUs(now_us)) / 1000.0);
+  mesh_peers_->Set(static_cast<double>(mesh_->peer_count()));
 }
 
 std::string FrontEnd::DescribeMeshJson() const {
@@ -523,32 +508,15 @@ std::string FrontEnd::DescribeMeshJson() const {
 // ---------------------------------------------------------------------------
 
 void FrontEnd::TelemetryTick() {
-  loop_->AssertInLoopThread();  // nodes_, samplers, scratch: loop-0 confined
+  loop_->AssertInLoopThread();  // nodes_ and the rows: loop-0 confined
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   const int64_t now = NowMs();
   const int64_t interval = std::max<int64_t>(config_.telemetry_interval_ms, 1);
-  const double dt = telemetry_last_ms_ > 0
-                        ? static_cast<double>(now - telemetry_last_ms_) / 1000.0
-                        : static_cast<double>(interval) / 1000.0;
-  telemetry_last_ms_ = now;
-
-  telemetry_scratch_.clear();
-  const auto rate = [dt](CounterRateSampler& sampler, const std::atomic<uint64_t>& counter) {
-    return sampler.Sample(counter.load(std::memory_order_relaxed), dt);
-  };
-  telemetry_scratch_.emplace_back(kSConnRate, rate(rate_conns_, counters_.connections_accepted));
-  telemetry_scratch_.emplace_back(kSHandoffRate, rate(rate_handoffs_, counters_.handoffs));
-  telemetry_scratch_.emplace_back(kSConsultRate, rate(rate_consults_, counters_.consults));
-  const double replay_rate = rate(rate_replays_, counters_.replays);
-  telemetry_scratch_.emplace_back(kSReplayRate, replay_rate);
-  const double giveup_rate = rate(rate_giveups_, counters_.replay_giveups);
-  telemetry_scratch_.emplace_back(kSGiveupRate, giveup_rate);
-  telemetry_scratch_.emplace_back(kSRejectRate,
-                                  rate(rate_rejected_, counters_.rejected_no_backend));
+  telemetry_rows_.Sample(now, interval);
 
   size_t open_conns = 0;
   (void)DispatcherCountersSnapshot(&open_conns);
-  telemetry_scratch_.emplace_back(kSOpenConns, static_cast<double>(open_conns));
+  telemetry_rows_.Set("open_conns", static_cast<double>(open_conns));
 
   // Membership + load skew (max/mean reported connections over live nodes);
   // skew is meaningful only while the tier actually carries load.
@@ -564,67 +532,32 @@ void FrontEnd::TelemetryTick() {
     conn_sum += conns;
     conn_max = std::max(conn_max, conns);
   }
-  telemetry_scratch_.emplace_back(kSActiveNodes, static_cast<double>(active));
-  double load_skew = kNaN;
+  telemetry_rows_.Set("active_nodes", static_cast<double>(active));
   if (active > 0 && conn_sum > 0.0) {
-    load_skew = conn_max / (conn_sum / static_cast<double>(active));
-    telemetry_scratch_.emplace_back(kSLoadSkew, load_skew);
+    telemetry_rows_.Set("load_skew", conn_max / (conn_sum / static_cast<double>(active)));
   }
 
-  // Loop health: worst wakeup-delay p99 across this replica's loops this
-  // window, plus the pending-task depth summed over the loops. The profiling
-  // histograms are labelled "fe<id>" (loop 0) / "fe<id>.<k>" (shard k); the
-  // 1 Hz find-or-create lookup is harmless when profiling is off (the empty
-  // histogram yields an empty window).
-  double wakeup_p99 = kNaN;
-  if (config_.metrics != nullptr) {
-    if (wakeup_windows_.size() < static_cast<size_t>(loops_->size())) {
-      wakeup_windows_.resize(static_cast<size_t>(loops_->size()));
-    }
-    double pending = 0.0;
-    for (int k = 0; k < loops_->size(); ++k) {
-      const std::string label =
-          k == 0 ? "fe" + std::to_string(config_.fe_id)
-                 : "fe" + std::to_string(config_.fe_id) + "." + std::to_string(k);
-      const HistogramWindowSampler::Window window = wakeup_windows_[static_cast<size_t>(k)].Sample(
-          *config_.metrics->Histogram("lard_loop_wakeup_delay_us{loop=\"" + label + "\"}"));
-      if (window.count > 0) {
-        wakeup_p99 = std::isnan(wakeup_p99) ? window.p99 : std::max(wakeup_p99, window.p99);
-      }
-      pending += config_.metrics->Gauge("lard_loop_pending_tasks{loop=\"" + label + "\"}")->value();
-    }
-    if (!std::isnan(wakeup_p99)) {
-      telemetry_scratch_.emplace_back(kSWakeupP99Us, wakeup_p99);
-    }
-    telemetry_scratch_.emplace_back(kSPendingTasks, pending);
-    UpdateProcessMetrics(config_.metrics);  // keeps the /metrics gauges fresh too
-  }
-  const ProcessStats stats = ReadProcessStats();
-  telemetry_scratch_.emplace_back(kSRssBytes, stats.rss_bytes);
-  telemetry_scratch_.emplace_back(kSOpenFds, stats.open_fds);
-  telemetry_scratch_.emplace_back(kSIdleCloseRate,
-                                  rate(rate_idle_closes_, counters_.idle_closes));
-  telemetry_scratch_.emplace_back(
-      kSConnsFeOwned,
-      static_cast<double>(conns_fe_owned_.load(std::memory_order_relaxed)));
-  telemetry_scratch_.emplace_back(
-      kSConnsHandedOff,
-      config_.mechanism == Mechanism::kRelayingFrontEnd ? 0.0
-                                                        : static_cast<double>(open_conns));
+  // Keeps the /metrics process gauges fresh too.
+  const ProcessStats stats = UpdateProcessMetrics(config_.metrics);
+  telemetry_rows_.Set("rss_bytes", stats.rss_bytes);
+  telemetry_rows_.Set("open_fds", stats.open_fds);
+  telemetry_rows_.Set("conns_fe_owned",
+                      static_cast<double>(conns_fe_owned_.load(std::memory_order_relaxed)));
+  telemetry_rows_.Set("conns_handed_off", config_.mechanism == Mechanism::kRelayingFrontEnd
+                                            ? 0.0
+                                            : static_cast<double>(open_conns));
 
-  telemetry_->Append(now, telemetry_scratch_);
+  telemetry_->Append(now, telemetry_rows_.Values());
 
   // Watchdog inputs: this tick's own samples plus the freshest mirrored
   // back-end values. Missing inputs (no telemetry rows yet, idle windows)
   // count as clean inside Evaluate().
   std::map<std::string, double> inputs;
-  inputs["replay_rate"] = replay_rate;
-  inputs["giveup_rate"] = giveup_rate;
-  if (!std::isnan(wakeup_p99)) {
-    inputs["wakeup_p99_us"] = wakeup_p99;
-  }
-  if (!std::isnan(load_skew)) {
-    inputs["load_skew"] = load_skew;
+  for (const char* name : {"replay_rate", "giveup_rate", "wakeup_p99_us", "load_skew"}) {
+    const double value = telemetry_rows_.value(name);
+    if (!std::isnan(value)) {
+      inputs[name] = value;
+    }
   }
   {
     MutexLock lock(&telemetry_mutex_);
@@ -760,9 +693,7 @@ NodeId FrontEnd::AddNode(UniqueFd control_fd, uint16_t backend_http_port, double
     MutexLock lock(&state_mutex_);
     node = dispatcher_->AddNode(weight);
     disk_table_->Update(node, 0);
-    if (metric_active_nodes_ != nullptr) {
-      metric_active_nodes_->Set(dispatcher_->active_node_count());
-    }
+    active_nodes_gauge_->Set(dispatcher_->active_node_count());
   }
   AttachControl(node, std::move(control_fd));
   if (config_.mechanism == Mechanism::kRelayingFrontEnd) {
@@ -795,9 +726,7 @@ bool FrontEnd::DrainNode(NodeId node) {
     if (!dispatcher_->DrainNode(node)) {
       return false;
     }
-    if (metric_active_nodes_ != nullptr) {
-      metric_active_nodes_->Set(dispatcher_->active_node_count());
-    }
+    active_nodes_gauge_->Set(dispatcher_->active_node_count());
   }
   // Ask the node to give its persistent connections back between batches;
   // they come home as kHandback(target=kInvalidNode) and are re-handed-off.
@@ -830,9 +759,7 @@ bool FrontEnd::RemoveNode(NodeId node) {
   }
   if (state == NodeState::kActive) {
     (void)dispatcher_->DrainNode(node);
-    if (metric_active_nodes_ != nullptr) {
-      metric_active_nodes_->Set(dispatcher_->active_node_count());
-    }
+    active_nodes_gauge_->Set(dispatcher_->active_node_count());
   }
   retiring_.insert(node);
   nodes_[static_cast<size_t>(node)].control->Send(static_cast<uint8_t>(ControlMsg::kDrain),
@@ -904,14 +831,9 @@ bool FrontEnd::RemoveNodeInternal(NodeId node, const char* reason) {
     }
   }
   if (detected_failure) {
-    counters_.auto_removals.fetch_add(1, std::memory_order_relaxed);
-    if (metric_auto_removals_ != nullptr) {
-      metric_auto_removals_->Increment();
-    }
+    auto_removals_.Increment();
   }
-  if (metric_active_nodes_ != nullptr) {
-    metric_active_nodes_->Set(dispatcher_->active_node_count());
-  }
+  active_nodes_gauge_->Set(dispatcher_->active_node_count());
   LARD_LOG(WARNING) << "front-end: node " << node << " removed (" << reason << "), "
                     << orphans.size() << " connections orphaned, " << replayed
                     << " replayed onto survivors, " << dispatcher_->active_node_count()
@@ -938,9 +860,7 @@ void FrontEnd::BurnNodeSlot() {
   if (static_cast<size_t>(node) >= nodes_.size()) {
     nodes_.resize(static_cast<size_t>(node) + 1);  // keep id indexing aligned
   }
-  if (metric_active_nodes_ != nullptr) {
-    metric_active_nodes_->Set(dispatcher_->active_node_count());
-  }
+  active_nodes_gauge_->Set(dispatcher_->active_node_count());
 }
 
 void FrontEnd::SetPolicy(Policy policy) {
@@ -986,9 +906,8 @@ std::string FrontEnd::DescribeNodesJson() const {
       << MechanismName(config_.mechanism) << "\",\"active_nodes\":"
       << dispatcher_->active_node_count()
       << ",\"replay_enabled\":" << (ReplayEligible() ? "true" : "false")
-      << ",\"replays_total\":" << counters_.replays.load(std::memory_order_relaxed)
-      << ",\"replay_giveups_total\":"
-      << counters_.replay_giveups.load(std::memory_order_relaxed)
+      << ",\"replays_total\":" << replays_.own->value()
+      << ",\"replay_giveups_total\":" << replay_giveups_.own->value()
       << ",\"journaled_connections\":" << journal_.tracked_connections()
       << ",\"journal_overflows\":" << journal_.overflows() << ",\"nodes\":[";
   for (NodeId node = 0; node < dispatcher_->num_node_slots(); ++node) {
@@ -1090,17 +1009,11 @@ void FrontEnd::AdoptClientFd(LoopShard* shard, UniqueFd fd) {
     // Every back-end drained or dead: shed load at the door. The write is
     // best-effort on a fresh socket (buffer empty, nothing to flush).
     (void)!::send(fd.get(), kUnavailableReply, sizeof(kUnavailableReply) - 1, MSG_NOSIGNAL);
-    counters_.rejected_no_backend.fetch_add(1, std::memory_order_relaxed);
+    rejected_.Increment();
     return;
   }
 
-  counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-  if (metric_connections_ != nullptr) {
-    metric_connections_->Increment();
-  }
-  if (metric_fe_connections_ != nullptr) {
-    metric_fe_connections_->Increment();
-  }
+  connections_.Increment();
 
   auto conn = std::make_unique<FeConn>();
   FeConn* raw = conn.get();
@@ -1268,7 +1181,7 @@ void FrontEnd::HandoffFlow(FeConn* conn, std::vector<HttpRequest> requests) {
   if (shed) {
     conn->conn->Write(kUnavailableReply);
     conn->conn->CloseAfterFlush();
-    counters_.rejected_no_backend.fetch_add(1, std::memory_order_relaxed);
+    rejected_.Increment();
     DestroyConn(conn);
     return;
   }
@@ -1344,7 +1257,7 @@ void FrontEnd::CompleteHandoff(PendingHandoff pending) {
       (void)!::send(pending.client_fd.get(), kUnavailableReply, sizeof(kUnavailableReply) - 1,
                     MSG_NOSIGNAL);
     }
-    counters_.rejected_no_backend.fetch_add(1, std::memory_order_relaxed);
+    rejected_.Increment();
     return;  // fds RAII-close
   }
 
@@ -1365,13 +1278,8 @@ void FrontEnd::CompleteHandoff(PendingHandoff pending) {
                pending.node, TraceNowUs(), 0, "reqs=%zu journal=%d", pending.request_count,
                pending.msg.replay_protected ? 1 : 0);
   }
-  counters_.handoffs.fetch_add(1, std::memory_order_relaxed);
-  if (link.handoff_counter != nullptr) {
-    link.handoff_counter->Increment();
-  }
-  if (metric_fe_handoffs_ != nullptr) {
-    metric_fe_handoffs_->Increment();
-  }
+  handoffs_.Increment();
+  link.handoff_counter->Increment();
 }
 
 void FrontEnd::RelayFlow(FeConn* conn, std::vector<HttpRequest> requests) {
@@ -1401,7 +1309,7 @@ void FrontEnd::RelayFlow(FeConn* conn, std::vector<HttpRequest> requests) {
   if (shed) {
     conn->conn->Write(kUnavailableReply);
     conn->conn->CloseAfterFlush();
-    counters_.rejected_no_backend.fetch_add(1, std::memory_order_relaxed);
+    rejected_.Increment();
     DestroyConn(conn);
     return;
   }
@@ -1428,7 +1336,7 @@ void FrontEnd::ProcessNextRelay(LoopShard* shard, ConnId id) {
   auto [request, node] = std::move(conn->relay_queue->front());
   conn->relay_queue->pop_front();
   conn->serving = true;
-  counters_.relayed_requests.fetch_add(1, std::memory_order_relaxed);
+  relayed_requests_.Increment();
 
   LARD_CHECK(!shard->relays.empty()) << "relay mode requires ConnectBackends()";
   LARD_CHECK(static_cast<size_t>(node) < shard->relays.size() &&
@@ -1522,10 +1430,7 @@ void FrontEnd::SweepIdle(LoopShard* shard) {
       return;
     }
     const int64_t idle_for_ms = (now - conn->last_active_us()) / 1000;
-    counters_.idle_closes.fetch_add(1, std::memory_order_relaxed);
-    if (metric_idle_closes_ != nullptr) {
-      metric_idle_closes_->Increment();
-    }
+    idle_closes_.Increment();
     RecordSpan(tracer_, shard->trace_ring, conn->id, 8, SpanKind::kClose,
                static_cast<int32_t>(config_.fe_id), TraceNowUs(), 0, "idle after=%lldms",
                static_cast<long long>(idle_for_ms));
@@ -1592,7 +1497,7 @@ void FrontEnd::OnControlMessage(NodeId node, uint8_t type, std::string payload, 
         handoff.unparsed_input = std::move(msg.replay_input);
         nodes_[static_cast<size_t>(msg.target_node)].control->SendWithFd(
             static_cast<uint8_t>(ControlMsg::kHandoff), EncodeHandoff(handoff), std::move(fd));
-        counters_.migrations.fetch_add(1, std::memory_order_relaxed);
+        migrations_.Increment();
         return;
       }
       RehandoffConnection(node, std::move(msg), std::move(fd));
@@ -1688,10 +1593,7 @@ void FrontEnd::OnControlMessage(NodeId node, uint8_t type, std::string payload, 
       link.heartbeat_seen = true;
       link.reported_conns = msg.active_conns;
       disk_table_->Update(node, static_cast<int>(msg.disk_queue_len));
-      counters_.heartbeats.fetch_add(1, std::memory_order_relaxed);
-      if (metric_heartbeats_ != nullptr) {
-        metric_heartbeats_->Increment();
-      }
+      heartbeats_.Increment();
       return;
     }
     case ControlMsg::kTelemetry: {
@@ -1772,7 +1674,7 @@ void FrontEnd::RehandoffConnection(NodeId from_node, HandbackMsg msg, UniqueFd f
     }
     journal_.Drop(msg.conn_id);
     (void)!::send(fd.get(), kUnavailableReply, sizeof(kUnavailableReply) - 1, MSG_NOSIGNAL);
-    counters_.rejected_no_backend.fetch_add(1, std::memory_order_relaxed);
+    rejected_.Increment();
     LARD_LOG(WARNING) << "front-end: no assignable node for given-back connection "
                       << msg.conn_id << ", shedding with 503";
     return;  // fd RAII-closes
@@ -1788,13 +1690,7 @@ void FrontEnd::RehandoffConnection(NodeId from_node, HandbackMsg msg, UniqueFd f
       static_cast<uint8_t>(ControlMsg::kHandoff), EncodeHandoff(handoff), std::move(fd));
   RecordSpan(tracer_, trace_ring_, msg.conn_id, 7, SpanKind::kReassign, target, TraceNowUs(), 0,
              "from=%d reason=drain", from_node);
-  counters_.rehandoffs.fetch_add(1, std::memory_order_relaxed);
-  if (metric_rehandoffs_ != nullptr) {
-    metric_rehandoffs_->Increment();
-  }
-  if (metric_fe_rehandoffs_ != nullptr) {
-    metric_fe_rehandoffs_->Increment();
-  }
+  rehandoffs_.Increment();
   if (MeshEnabled()) {
     // The reassignment seeded `target`'s virtual cache with the pending
     // targets; tell the peers the same news.
@@ -1804,9 +1700,7 @@ void FrontEnd::RehandoffConnection(NodeId from_node, HandbackMsg msg, UniqueFd f
     }
     RecordFetchHints(pending, seeded);
   }
-  if (nodes_[static_cast<size_t>(target)].handoff_counter != nullptr) {
-    nodes_[static_cast<size_t>(target)].handoff_counter->Increment();
-  }
+  nodes_[static_cast<size_t>(target)].handoff_counter->Increment();
   if (retiring_.count(from_node) != 0) {
     // Deferred: finalizing tears down the channel this handback arrived on.
     loop_->Post(alive_.Guard([this, from_node]() {
@@ -1872,10 +1766,7 @@ void FrontEnd::TryReplayOrphan(ConnId conn, NodeId dead_node) {
   const auto give_up = [&](const char* why, int status) {
     RecordSpan(tracer_, trace_ring_, conn, 6, SpanKind::kReassign, dead_node, replay_start_us,
                TraceNowUs() - replay_start_us, "replay-giveup: %s (%d)", why, status);
-    counters_.replay_giveups.fetch_add(1, std::memory_order_relaxed);
-    if (metric_replay_giveups_ != nullptr) {
-      metric_replay_giveups_->Increment();
-    }
+    replay_giveups_.Increment();
     // A clean error beats a spliced half-response — but once response bytes
     // already reached the client, injecting anything would corrupt the
     // stream mid-body; closing is the only honest signal then.
@@ -1920,7 +1811,7 @@ void FrontEnd::TryReplayOrphan(ConnId conn, NodeId dead_node) {
     if (live_in_dispatcher_.erase(conn) > 0) {
       dispatcher_->OnConnectionClose(conn);
     }
-    counters_.rejected_no_backend.fetch_add(1, std::memory_order_relaxed);
+    rejected_.Increment();
     give_up("no assignable node", 503);
     return;
   }
@@ -1954,13 +1845,8 @@ void FrontEnd::TryReplayOrphan(ConnId conn, NodeId dead_node) {
   journal_.NoteReplaySent(conn);
   nodes_[static_cast<size_t>(target)].control->SendWithFd(
       static_cast<uint8_t>(ControlMsg::kReplay), EncodeReplay(msg), std::move(ship));
-  counters_.replays.fetch_add(1, std::memory_order_relaxed);
-  if (metric_replays_ != nullptr) {
-    metric_replays_->Increment();
-  }
-  if (nodes_[static_cast<size_t>(target)].handoff_counter != nullptr) {
-    nodes_[static_cast<size_t>(target)].handoff_counter->Increment();
-  }
+  replays_.Increment();
+  nodes_[static_cast<size_t>(target)].handoff_counter->Increment();
   if (MeshEnabled()) {
     // The reassignment seeded `target`'s virtual cache; tell the peers.
     std::vector<Assignment> seeded(pending.size());
@@ -1979,7 +1865,7 @@ void FrontEnd::TryReplayOrphan(ConnId conn, NodeId dead_node) {
 }
 
 void FrontEnd::HandleConsult(NodeId node, const ConsultMsg& msg) {
-  counters_.consults.fetch_add(1, std::memory_order_relaxed);
+  consults_.Increment();
   disk_table_->Update(node, static_cast<int>(msg.disk_queue_len));
   if (live_in_dispatcher_.count(msg.conn_id) == 0) {
     return;  // connection raced away; the back-end will see kConnClosed state

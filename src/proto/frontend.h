@@ -134,7 +134,9 @@ struct FrontEndConfig {
   // idempotency policy). A non-idempotent request in the unacknowledged tail
   // turns the crash into a clean 502/close for that client instead.
   std::vector<std::string> idempotent_methods = {"GET", "HEAD"};
-  // Optional shared registry (lard_fe_*, lard_cluster_* instruments).
+  // Required: the registry holding this front-end's counters (lard_fe_*,
+  // lard_cluster_*), its loops' health and its mesh instruments. It is the
+  // only store of each count; telemetry and Cluster::Snapshot read it.
   MetricsRegistry* metrics = nullptr;
   // Telemetry sampling period for this front-end's TimeSeriesStore (conn/
   // handoff/replay rates, loop health, process gauges) and the SLO watchdog
@@ -150,21 +152,6 @@ struct FrontEndConfig {
   // and "fe<fe_id>.<k>" for shard loop k — sampled by trace id, so FE and
   // back-end spans of one connection are kept or dropped together.
   Tracer* tracer = nullptr;
-};
-
-struct FrontEndCounters {
-  std::atomic<uint64_t> connections_accepted{0};
-  std::atomic<uint64_t> handoffs{0};
-  std::atomic<uint64_t> consults{0};
-  std::atomic<uint64_t> relayed_requests{0};
-  std::atomic<uint64_t> migrations{0};  // hand-backs relayed (multiple handoff)
-  std::atomic<uint64_t> rehandoffs{0};  // drain givebacks re-handed-off to a new node
-  std::atomic<uint64_t> replays{0};  // crashed-node conns re-handed-off with a journal replay
-  std::atomic<uint64_t> replay_giveups{0};  // orphans unreplayable (non-idempotent/overflow/no node)
-  std::atomic<uint64_t> heartbeats{0};
-  std::atomic<uint64_t> auto_removals{0};  // nodes declared dead by health tracking
-  std::atomic<uint64_t> rejected_no_backend{0};  // 503s with zero assignable nodes
-  std::atomic<uint64_t> idle_closes{0};  // FE-owned conns reaped at the idle deadline
 };
 
 class FrontEnd {
@@ -248,7 +235,6 @@ class FrontEnd {
   std::string DescribeHealthJson() const LARD_EXCLUDES(health_json_mutex_);
 
   uint16_t port() const { return port_.load(std::memory_order_acquire); }
-  const FrontEndCounters& counters() const { return counters_; }
 
   // Runtime idle-deadline tuning (POST /idletimeout; thread-safe). New
   // deadlines apply to the next arm/rearm of each connection's timer; <= 0
@@ -348,6 +334,22 @@ class FrontEnd {
     bool traced = false;
     size_t request_count = 0;
   };
+
+  // One counted front-end event. The registry is its only store: `own` is
+  // this replica's counter (the unlabelled name with one front end, the
+  // {fe="k"} name in a replicated tier) and `tier`, replicated only, the
+  // unlabelled tier total every replica also adds to.
+  struct EventCounter {
+    MetricCounter* own = nullptr;
+    MetricCounter* tier = nullptr;
+    void Increment() {
+      own->Increment();
+      if (tier != nullptr) {
+        tier->Increment();
+      }
+    }
+  };
+  EventCounter MakeEventCounter(const char* name) const;
 
   // Per-back-end control-plane state, indexed by NodeId (slots persist after
   // removal so ids stay stable). Loop-0 confined.
@@ -537,7 +539,6 @@ class FrontEnd {
   // (node << 32) | target
   std::unordered_set<uint64_t> pending_hints_ LARD_GUARDED_BY(state_mutex_);
   uint64_t gossip_seq_ LARD_GUARDED_BY(state_mutex_) = 0;
-  uint64_t gossip_sent_ LARD_GUARDED_BY(state_mutex_) = 0;
   mutable Mutex mesh_json_mutex_;
   // Refreshed each tick; read by the admin thread.
   std::string mesh_json_ LARD_GUARDED_BY(mesh_json_mutex_);
@@ -553,22 +554,32 @@ class FrontEnd {
       LARD_GUARDED_BY(telemetry_mutex_);
   mutable Mutex health_json_mutex_;
   std::string health_json_ LARD_GUARDED_BY(health_json_mutex_);
-  // Window samplers + scratch (loop-0 confined, like nodes_).
-  CounterRateSampler rate_conns_;
-  CounterRateSampler rate_handoffs_;
-  CounterRateSampler rate_consults_;
-  CounterRateSampler rate_replays_;
-  CounterRateSampler rate_giveups_;
-  CounterRateSampler rate_rejected_;
-  CounterRateSampler rate_idle_closes_;
-  std::vector<HistogramWindowSampler> wakeup_windows_;  // one per loop
-  std::vector<std::pair<int, double>> telemetry_scratch_;
-  int64_t telemetry_last_ms_ = 0;
+  // One row per series of telemetry_ (loop-0 confined, like nodes_).
+  TelemetryTable telemetry_rows_;
 
   Tracer* tracer_ = nullptr;
   TraceRing* trace_ring_ = nullptr;  // shard 0's ring; control-plane spans
 
-  FrontEndCounters counters_;
+  EventCounter connections_;
+  EventCounter handoffs_;
+  EventCounter consults_;
+  EventCounter relayed_requests_;
+  EventCounter migrations_;      // hand-backs relayed (multiple handoff)
+  EventCounter rehandoffs_;      // givebacks re-handed-off to a new node
+  EventCounter replays_;         // crashed-node conns re-handed-off with a journal replay
+  EventCounter replay_giveups_;  // orphans unreplayable (non-idempotent/overflow/no node)
+  EventCounter heartbeats_;
+  EventCounter auto_removals_;   // nodes declared dead by health tracking
+  EventCounter rejected_;        // 503s with zero assignable nodes
+  EventCounter idle_closes_;     // FE-owned conns reaped at the idle deadline
+  MetricGauge* active_nodes_gauge_ = nullptr;
+  // The mesh's {fe="k"} instruments (created with mesh_, null without it).
+  MetricGauge* mesh_epoch_ = nullptr;
+  MetricGauge* mesh_lag_ms_ = nullptr;
+  MetricGauge* mesh_peers_ = nullptr;
+  MetricGauge* mesh_divergence_ = nullptr;
+  MetricCounter* deltas_sent_ = nullptr;
+  MetricCounter* deltas_applied_ = nullptr;
   std::atomic<uint64_t> pinning_violations_{0};
   // Runtime-tunable idle deadline (seeded from config_.idle_timeout_ms);
   // read on every arm/rearm from the shard loops, written by the admin path.
@@ -577,24 +588,6 @@ class FrontEnd {
   // Atomic — bumped on the shard loops, read by telemetry and tests. The
   // handed-off twin is derived from the dispatcher (open_conns_handed_off).
   std::atomic<int64_t> conns_fe_owned_{0};
-  MetricCounter* metric_idle_closes_ = nullptr;
-  MetricGauge* metric_active_nodes_ = nullptr;
-  MetricCounter* metric_auto_removals_ = nullptr;
-  MetricCounter* metric_heartbeats_ = nullptr;
-  MetricCounter* metric_connections_ = nullptr;
-  MetricCounter* metric_rehandoffs_ = nullptr;
-  MetricCounter* metric_replays_ = nullptr;
-  MetricCounter* metric_replay_giveups_ = nullptr;
-  // Per-FE labelled twins (replicated tier only; null otherwise).
-  MetricCounter* metric_fe_connections_ = nullptr;
-  MetricCounter* metric_fe_handoffs_ = nullptr;
-  MetricCounter* metric_fe_rehandoffs_ = nullptr;
-  MetricGauge* metric_mesh_epoch_ = nullptr;
-  MetricGauge* metric_mesh_lag_ms_ = nullptr;
-  MetricGauge* metric_mesh_peers_ = nullptr;
-  MetricGauge* metric_mesh_divergence_ = nullptr;
-  MetricCounter* metric_gossip_sent_ = nullptr;
-  MetricCounter* metric_gossip_applied_ = nullptr;
 };
 
 }  // namespace lard

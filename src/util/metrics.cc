@@ -112,6 +112,12 @@ MetricCounter* MetricsRegistry::Counter(const std::string& name) {
   return slot.get();
 }
 
+uint64_t MetricsRegistry::CounterValue(const std::string& name) const {
+  MutexLock lock(&mutex_);
+  const auto it = counters_.find(name);
+  return it == counters_.end() ? 0 : it->second->value();
+}
+
 MetricGauge* MetricsRegistry::Gauge(const std::string& name) {
   MutexLock lock(&mutex_);
   auto& slot = gauges_[name];

@@ -94,6 +94,8 @@ class MetricsRegistry {
   MetricCounter* Counter(const std::string& name);
   MetricGauge* Gauge(const std::string& name);
   MetricHistogram* Histogram(const std::string& name);
+  // The value of counter `name`, 0 when it does not exist. Never creates.
+  uint64_t CounterValue(const std::string& name) const;
 
   // "name{node=\"7\"}" — the per-back-end label family.
   static std::string WithNode(const std::string& name, int32_t node);

@@ -138,6 +138,61 @@ TEST(HistogramWindowSamplerTest, QuantilesCoverOnlyTheWindow) {
   EXPECT_DOUBLE_EQ(window.p99, 0.0);
 }
 
+TEST(TelemetryTableTest, RowsSampleTheirInstrumentsInSeriesOrder) {
+  MetricsRegistry registry;
+  MetricCounter* a = registry.Counter("a_total");
+  MetricCounter* b = registry.Counter("b_total");
+  MetricGauge* g0 = registry.Gauge("g0");
+  MetricGauge* g1 = registry.Gauge("g1");
+  MetricHistogram* h0 = registry.Histogram("h0_us");
+  MetricHistogram* h1 = registry.Histogram("h1_us");
+  TelemetryTable table;
+  table.AddRate("rate", a);
+  table.AddRate("input", b, /*series=*/false);
+  table.AddDerived("derived");
+  table.AddGauge("gauge", {g0, g1});
+  table.AddQuantile("p99", SeriesKind::kP99, {h0, h1});
+  TimeSeriesStore store(TimeSeriesConfig{});
+  table.Register(&store);
+  const std::vector<std::string> series = {"rate", "derived", "gauge", "p99"};
+  for (size_t i = 0; i < series.size(); ++i) {
+    EXPECT_EQ(store.FindSeries(series[i]), static_cast<int>(i));
+    EXPECT_EQ(table.series_name(static_cast<int>(i)), series[i]);
+  }
+  EXPECT_EQ(store.FindSeries("input"), -1);
+
+  // First tick: the nominal interval is the window; counts so far all count.
+  a->Increment(10);
+  b->Increment(20);
+  g0->Set(2.0);
+  g1->Set(3.0);
+  h0->Observe(10.0);
+  h1->Observe(1000.0);
+  table.Sample(1000, 500);
+  EXPECT_DOUBLE_EQ(table.value("rate"), 20.0);  // 10 events in 0.5 s
+  EXPECT_DOUBLE_EQ(table.value("input"), 40.0);
+  EXPECT_DOUBLE_EQ(table.value("gauge"), 5.0);
+  EXPECT_GE(table.value("p99"), 1000.0);  // the worst histogram's window
+  EXPECT_TRUE(std::isnan(table.value("derived")));
+  table.Set("derived", 7.0);
+  // The input row is no series; series come in order, each with its index.
+  const std::vector<std::pair<int, double>> values = table.Values();
+  ASSERT_EQ(values.size(), 4u);
+  EXPECT_EQ(values[0], std::make_pair(0, 20.0));
+  EXPECT_EQ(values[1], std::make_pair(1, 7.0));
+  EXPECT_EQ(values[2], std::make_pair(2, 5.0));
+  EXPECT_EQ(values[3].first, 3);
+
+  // Next tick: the window is the gap since the last one; an idle quantile
+  // window and an unset derived row have no value.
+  a->Increment(4);
+  table.Sample(3000, 500);
+  EXPECT_DOUBLE_EQ(table.value("rate"), 2.0);
+  EXPECT_DOUBLE_EQ(table.value("input"), 0.0);
+  EXPECT_TRUE(std::isnan(table.value("p99")));
+  EXPECT_EQ(table.Values(), (std::vector<std::pair<int, double>>{{0, 2.0}, {2, 5.0}}));
+}
+
 TEST(ProcessStatsTest, ReadsLiveProcessAndPublishes) {
   const ProcessStats stats = ReadProcessStats();
   EXPECT_GT(stats.rss_bytes, 0u);

@@ -1,5 +1,5 @@
 // End-to-end keep-alive deadline tests on the real prototype cluster: the
-// front-end's timer-wheel-backed idle reaper, activity rearms, the back-end
+// front-end's idle reaper, activity rearms, the back-end
 // idle sweep's kConnClosed notification, and the POST /idletimeout runtime
 // knob. Real sockets throughout — an assertion that a connection "was
 // reaped" means this process observed the FIN.
@@ -132,7 +132,7 @@ TEST(ProtoIdleTimeoutTest, FrontEndReapsIdleConnectionAtDeadline) {
   ASSERT_TRUE(fd.ok());
   // Never sends a byte: the adoption-time deadline is the only clock.
   EXPECT_TRUE(WaitForEof(fd.value().get(), 5000)) << "idle connection never reaped";
-  EXPECT_GE(cluster.frontend(0).counters().idle_closes.load(std::memory_order_relaxed), 1u);
+  EXPECT_GE(cluster.metrics()->CounterValue("lard_fe_idle_closes_total"), 1u);
   EXPECT_EQ(cluster.frontend(0).open_conns_fe_owned(), 0);
   cluster.Stop();
 }
@@ -153,7 +153,7 @@ TEST(ProtoIdleTimeoutTest, ActivityRearmsTheDeadline) {
   }
   // Then stop touching it: the reap lands one deadline after the last byte.
   EXPECT_TRUE(WaitForEof(fd.value().get(), 5000)) << "connection never reaped after going idle";
-  EXPECT_GE(cluster.frontend(0).counters().idle_closes.load(std::memory_order_relaxed), 1u);
+  EXPECT_GE(cluster.metrics()->CounterValue("lard_fe_idle_closes_total"), 1u);
   cluster.Stop();
 }
 
@@ -211,7 +211,7 @@ TEST(ProtoIdleTimeoutTest, RuntimeKnobAppliesAtNextArm) {
   EXPECT_TRUE(WaitForEof(idle_before.value().get(), 5000))
       << "touched connection never armed the runtime deadline";
 
-  EXPECT_GE(cluster.frontend(0).counters().idle_closes.load(std::memory_order_relaxed), 2u);
+  EXPECT_GE(cluster.metrics()->CounterValue("lard_fe_idle_closes_total"), 2u);
   cluster.Stop();
 }
 

@@ -90,8 +90,9 @@ TEST(ProtoMeshTest, TwoFrontEndsServeSprayedTrafficCorrectly) {
 
   // Both replicas took connections, and each connection has exactly one
   // owner (the tier-wide accepted count matches the per-replica sum).
-  const uint64_t fe0 = cluster.frontend(0).counters().connections_accepted.load();
-  const uint64_t fe1 = cluster.frontend(1).counters().connections_accepted.load();
+  MetricsRegistry* metrics = cluster.metrics();
+  const uint64_t fe0 = metrics->CounterValue(MetricsRegistry::WithFe("lard_fe_connections_total", 0));
+  const uint64_t fe1 = metrics->CounterValue(MetricsRegistry::WithFe("lard_fe_connections_total", 1));
   EXPECT_GT(fe0, 0u);
   EXPECT_GT(fe1, 0u);
   const ClusterSnapshot snapshot = cluster.Snapshot();
@@ -249,7 +250,9 @@ TEST(ProtoMeshTest, RuntimeFrontEndJoinAndLeave) {
   const LoadResult via_joined = RunLoad(load, trace);
   EXPECT_EQ(via_joined.responses_ok, trace.total_requests());
   EXPECT_EQ(via_joined.transport_errors, 0u);
-  EXPECT_GT(cluster.frontend(joined).counters().connections_accepted.load(), 0u);
+  EXPECT_GT(cluster.metrics()->CounterValue(
+                MetricsRegistry::WithFe("lard_fe_connections_total", joined)),
+            0u);
 
   // Leave: replica 0 (the control plane) is protected; the joined replica
   // goes away exactly once and its port slot zeroes out.
